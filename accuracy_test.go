@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -191,7 +192,8 @@ func TestCICoverageRegression(t *testing.T) {
 		t.Skip("CI-coverage harness trains 5 model configurations; skipped in -short")
 	}
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 60000, Seed: 42})
-	opts := &dbest.TrainOptions{SampleSize: 4000, Seed: 42}
+	spec := dbest.ModelSpec{Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 4000, Seed: 42}
 	aggs := []struct {
 		af  exact.AggFunc
 		sql string
@@ -247,7 +249,7 @@ func TestCICoverageRegression(t *testing.T) {
 		if err := eng.RegisterTable(tb); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &spec); err != nil {
 			t.Fatal(err)
 		}
 		checkCoverage(t, eng, tb)
@@ -259,7 +261,9 @@ func TestCICoverageRegression(t *testing.T) {
 			if err := eng.RegisterTable(tb); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", k, opts); err != nil {
+			sharded := spec
+			sharded.Shards = k
+			if _, err := eng.CreateModel(context.Background(), &sharded); err != nil {
 				t.Fatal(err)
 			}
 			checkCoverage(t, eng, tb)
@@ -272,9 +276,9 @@ func TestCICoverageRegression(t *testing.T) {
 		if err := eng.RegisterTable(gtb); err != nil {
 			t.Fatal(err)
 		}
-		gopts := *opts
-		gopts.GroupBy = "ss_store_sk"
-		if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", &gopts); err != nil {
+		grouped := spec
+		grouped.GroupBy = "ss_store_sk"
+		if _, err := eng.CreateModel(context.Background(), &grouped); err != nil {
 			t.Fatal(err)
 		}
 		covered, total := 0, 0
@@ -321,7 +325,7 @@ func TestCICoverageRegression(t *testing.T) {
 		if err := eng.RegisterTable(half); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &spec); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.StartRefresher(&dbest.RefreshOptions{
@@ -378,14 +382,10 @@ func TestAccuracyRegression(t *testing.T) {
 			if err := eng.RegisterTable(tb); err != nil {
 				t.Fatal(err)
 			}
-			opts := &dbest.TrainOptions{SampleSize: 4000, Seed: 42}
-			var err error
-			if cfg.shards == 0 {
-				_, err = eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts)
-			} else {
-				_, err = eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", cfg.shards, opts)
-			}
-			if err != nil {
+			if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+				Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+				SampleSize: 4000, Seed: 42, Shards: cfg.shards,
+			}); err != nil {
 				t.Fatal(err)
 			}
 			for _, agg := range aggs {

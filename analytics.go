@@ -176,9 +176,7 @@ func (e *Engine) Describe(tbl, xcol, ycol string, lb, ub float64) (*Description,
 	if d.Avg, err = m.Avg(lb, ub); err != nil {
 		return nil, err
 	}
-	if d.Sum, err = m.Sum(lb, ub); err != nil {
-		return nil, err
-	}
+	d.Sum = m.Sum(lb, ub)
 	if d.Variance, err = m.VarianceY(lb, ub); err != nil {
 		return nil, err
 	}

@@ -45,11 +45,11 @@ type loadConfig struct {
 	Seed          int64   `json:"seed"`
 	// UniqueSpans jitters every issued query's [lb, ub], so each query is
 	// a distinct shape: the plan cache never hits and every evaluation
-	// pays the cold model-integration path — the regime that separates
-	// the grid kernel from per-query quadrature.
+	// pays the cold model-integration path: parse, plan and the grid
+	// kernel on every query.
 	UniqueSpans bool `json:"unique_spans"`
-	// GridKnots is the evaluation-grid budget the serving model trains
-	// with (0 default, -1 off) — the A/B lever for kernel comparisons.
+	// GridKnots is the evaluation-grid base knot budget the serving model
+	// trains with (0 = default).
 	GridKnots int `json:"grid_knots"`
 	// TolerancePct, when > 0, appends a WITHIN <p>% error budget to every
 	// model-path query, exercising the error-budget router: queries whose
@@ -78,11 +78,11 @@ type loadRun struct {
 	Latency     latencySummary `json:"query_latency"`
 	CacheHits   uint64         `json:"plan_cache_hits"`
 	CacheMisses uint64         `json:"plan_cache_misses"`
-	// Evaluation-kernel counter deltas over the measured window: which
-	// kernel actually served the integrals.
-	GridHits         uint64 `json:"grid_hits"`
-	GridFallbacks    uint64 `json:"grid_fallbacks"`
-	QuadNonconverged uint64 `json:"quad_nonconverged"`
+	// GridHits is the grid-kernel counter delta over the measured window.
+	GridHits uint64 `json:"grid_hits"`
+	// GridFallbacks is always 0: univariate models are served only from
+	// their grid. It stays in the report for tools that check it.
+	GridFallbacks uint64 `json:"grid_fallbacks"`
 	// Sketch counter deltas over the measured window: queries the sketch
 	// path answered and values the absorb path folded in from ingest.
 	SketchHits    uint64 `json:"sketch_hits"`
@@ -118,7 +118,7 @@ func runLoad(args []string) {
 		warmup  = fs.Duration("warmup", 500*time.Millisecond, "warmup before each measured run")
 		seed    = fs.Int64("seed", 1, "deterministic RNG seed")
 		unique  = fs.Bool("unique-spans", false, "jitter every query's range so no two queries share a shape (cold-path kernel benchmark)")
-		grid    = fs.Int("grid", 0, "evaluation-grid knot budget for the serving model (0 default, -1 off)")
+		grid    = fs.Int("grid", 0, "evaluation-grid knot budget for the serving model (0 = default)")
 		tol     = fs.Float64("tolerance", 0, "WITHIN error budget in percent appended to every query (0 = off; exercises the model/exact router)")
 		out     = fs.String("out", "", "also write the JSON report to this file")
 		smoke   = fs.Bool("smoke", false, "small fast run for CI (overrides rows/dur/workers)")
@@ -427,8 +427,6 @@ func sweepLevel(eng *dbest.Engine, tbl string, qs []workload.Query, sqls, sketch
 	run.CacheHits = stats1.Hits - stats0.Hits
 	run.CacheMisses = stats1.Misses - stats0.Misses
 	run.GridHits = ek1.GridHits - ek0.GridHits
-	run.GridFallbacks = ek1.GridFallbacks - ek0.GridFallbacks
-	run.QuadNonconverged = ek1.QuadNonconverged - ek0.QuadNonconverged
 	run.SketchHits = sk1.Hits - sk0.Hits
 	run.SketchUpdates = sk1.Updates - sk0.Updates
 	run.RouterModelHits = rt1.ModelHits - rt0.ModelHits

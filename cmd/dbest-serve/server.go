@@ -492,8 +492,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ShardsEvaluated    uint64 `json:"shards_evaluated"`
 		ShardsPruned       uint64 `json:"shards_pruned"`
 		GridHits           uint64 `json:"grid_hits"`
-		GridFallbacks      uint64 `json:"grid_fallbacks"`
-		QuadNonconverged   uint64 `json:"quad_nonconverged"`
 		SketchHits         uint64 `json:"sketch_hits"`
 		SketchUpdates      uint64 `json:"sketch_updates"`
 		SketchBytes        int    `json:"sketch_bytes"`
@@ -507,7 +505,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rs.Running, rs.Scans, rs.Refreshes, rs.Failures, rs.LastError,
 		rs.TotalRetrain.Microseconds(), rs.LastRetrain.Microseconds(),
 		rs.TrackedModels, ss.Evaluated, ss.Pruned,
-		ek.GridHits, ek.GridFallbacks, ek.QuadNonconverged,
+		ek.GridHits,
 		sk.Hits, sk.Updates, sk.Bytes,
 		rt.ModelHits, rt.ExactFallbacks, rt.Observations, rt.TrackedModels,
 		int64(time.Since(s.started).Seconds())})

@@ -25,17 +25,19 @@
 //	DROP MODEL <name>             drop a model or sketch by name or key
 //	SHOW MODELS                   list models with spec, size and staleness
 //
-// and ingestion / legacy training statements:
+// and the ingestion statements:
 //
 //	APPEND <table> v1,v2,...     append one row (values in column order)
 //	INGEST <table> <path.csv>    append a CSV micro-batch (schema must match)
 //	STALENESS                    print the per-model staleness ledger
-//	TRAIN <table>:<xcols>:<ycol>[:<groupby>] [SHARDS <k>]
-//	                             legacy colon-separated form of CREATE MODEL
+//
+// The -train flag is shorthand for a CREATE MODEL with the -sample and
+// -seed flags as its SAMPLE and SEED clauses.
 package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -99,11 +101,12 @@ func main() {
 		if len(parts) < 3 || len(parts) > 4 {
 			fail(fmt.Errorf("bad -train %q, want table:xcols:ycol[:groupby]", spec))
 		}
-		opts := &dbest.TrainOptions{SampleSize: *sampleSize, Seed: *seed}
+		ms := &dbest.ModelSpec{Table: parts[0], XCols: strings.Split(parts[1], ","), YCol: parts[2],
+			SampleSize: *sampleSize, Seed: *seed}
 		if len(parts) == 4 {
-			opts.GroupBy = parts[3]
+			ms.GroupBy = parts[3]
 		}
-		info, err := eng.Train(parts[0], strings.Split(parts[1], ","), parts[2], opts)
+		info, err := eng.CreateModel(context.Background(), ms)
 		if err != nil {
 			fail(err)
 		}
@@ -118,13 +121,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "saved models to %s\n", *save)
 	}
 
-	baseOpts := func() *dbest.TrainOptions {
-		return &dbest.TrainOptions{SampleSize: *sampleSize, Seed: *seed}
-	}
 	runOne := func(sql string) {
-		// Ingestion and training statements: APPEND / INGEST / STALENESS /
-		// TRAIN.
-		if handled := runIngestStatement(eng, sql, baseOpts()); handled {
+		// Model-definition and ingestion statements: CREATE / DROP / SHOW /
+		// APPEND / INGEST / STALENESS.
+		if handled := runIngestStatement(eng, sql); handled {
 			return
 		}
 		// EXPLAIN <query> prints the physical operator tree instead of
@@ -198,10 +198,9 @@ func boundsSuffix(relErr float64, ci [2]float64) string {
 	return fmt.Sprintf("  ±%.1f%% [%.6g, %.6g]", relErr*100, ci[0], ci[1])
 }
 
-// runIngestStatement handles the non-SQL statements of the stdin loop
-// (ingestion and training), reporting whether line was one of them. opts
-// carries the CLI's -sample/-seed defaults for TRAIN.
-func runIngestStatement(eng *dbest.Engine, line string, opts *dbest.TrainOptions) bool {
+// runIngestStatement handles the non-query statements of the stdin loop
+// (model definition and ingestion), reporting whether line was one of them.
+func runIngestStatement(eng *dbest.Engine, line string) bool {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return false
@@ -213,9 +212,6 @@ func runIngestStatement(eng *dbest.Engine, line string, opts *dbest.TrainOptions
 		// -sample/-seed flags do not apply here: the statement's own SAMPLE
 		// and SEED clauses (or the engine defaults) govern.
 		runModelStatement(eng, line)
-		return true
-	case "TRAIN":
-		runTrainStatement(eng, fields[1:], opts)
 		return true
 	case "STALENESS":
 		for _, st := range eng.ModelStaleness() {
@@ -351,64 +347,6 @@ func runModelStatement(eng *dbest.Engine, line string) {
 			fmt.Println()
 		}
 	}
-}
-
-// runTrainStatement handles TRAIN <table>:<xcols>:<ycol>[:<groupby>]
-// [SHARDS <k>]: plain (or grouped) training, or a k-shard range ensemble
-// over a single x column.
-func runTrainStatement(eng *dbest.Engine, args []string, opts *dbest.TrainOptions) {
-	usage := "usage: TRAIN <table>:<xcols>:<ycol>[:<groupby>] [SHARDS <k>]"
-	shards := 0
-	switch len(args) {
-	case 1:
-	case 3:
-		if !strings.EqualFold(args[1], "SHARDS") {
-			fmt.Fprintf(os.Stderr, "error: %s\n", usage)
-			return
-		}
-		k, err := strconv.Atoi(args[2])
-		if err != nil || k < 1 {
-			fmt.Fprintf(os.Stderr, "error: SHARDS wants a positive integer, got %q\n", args[2])
-			return
-		}
-		shards = k
-	default:
-		fmt.Fprintf(os.Stderr, "error: %s\n", usage)
-		return
-	}
-	parts := strings.Split(args[0], ":")
-	if len(parts) < 3 || len(parts) > 4 {
-		fmt.Fprintf(os.Stderr, "error: %s\n", usage)
-		return
-	}
-	if len(parts) == 4 {
-		opts.GroupBy = parts[3]
-	}
-	xcols := strings.Split(parts[1], ",")
-	var (
-		info *dbest.TrainInfo
-		err  error
-	)
-	if shards > 0 {
-		if len(xcols) != 1 || opts.GroupBy != "" {
-			fmt.Fprintln(os.Stderr, "error: SHARDS requires a single x column and no group-by")
-			return
-		}
-		info, err = eng.TrainSharded(parts[0], xcols[0], parts[2], shards, opts)
-	} else {
-		info, err = eng.Train(parts[0], xcols, parts[2], opts)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
-	}
-	suffix := ""
-	if info.Shards > 1 {
-		suffix = fmt.Sprintf(" across %d shards", info.Shards)
-	}
-	fmt.Printf("trained %s: %d model(s)%s, %d bytes, sample %v + train %v\n",
-		info.Key, info.NumModels, suffix, info.ModelBytes,
-		info.SampleTime.Round(1e6), info.TrainTime.Round(1e6))
 }
 
 // readCSVRows reads a header-carrying CSV whose columns must match tb's

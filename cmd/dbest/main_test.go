@@ -271,9 +271,10 @@ func TestCLIIngestSchemaNotReinferred(t *testing.T) {
 	}
 }
 
-// TestCLITrainSharded drives the stdin TRAIN ... SHARDS statement: train a
-// sharded ensemble interactively, query through it, and inspect the
-// per-shard staleness ledger.
+// TestCLITrainSharded drives a stdin CREATE MODEL ... SHARDS statement:
+// train a sharded ensemble interactively, query through it, and inspect
+// the per-shard staleness ledger. The removed TRAIN statement is now an
+// ordinary parse error.
 func TestCLITrainSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI build in -short mode")
@@ -284,14 +285,14 @@ func TestCLITrainSharded(t *testing.T) {
 	if err := datagen.CCPP(8000, 1).SaveCSV(csv); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-table", "ccpp="+csv, "-sample", "1000")
+	cmd := exec.Command(bin, "-table", "ccpp="+csv)
 	cmd.Stdin = strings.NewReader(strings.Join([]string{
-		"TRAIN ccpp:T:EP SHARDS 4",
+		"CREATE MODEL power ON ccpp(T; EP) SHARDS 4 SAMPLE 1000 SEED 1",
 		"EXPLAIN SELECT AVG(EP) FROM ccpp WHERE T BETWEEN 10 AND 12",
 		"SELECT AVG(EP) FROM ccpp WHERE T BETWEEN 10 AND 12",
 		"STALENESS",
-		"TRAIN nonsense",
-		"TRAIN ccpp:T:EP SHARDS zero",
+		"TRAIN ccpp:T:EP SHARDS 4",
+		"CREATE MODEL bad ON ccpp(T; EP) SHARDS zero",
 	}, "\n"))
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -304,7 +305,7 @@ func TestCLITrainSharded(t *testing.T) {
 		"source=model",
 		"shard=0/4",
 		"shard=3/4",
-		"usage: TRAIN",
+		"unexpected character ':'",
 		"SHARDS wants a positive integer",
 	} {
 		if !strings.Contains(s, want) {

@@ -9,8 +9,7 @@ import (
 )
 
 // Engine-level grid lifecycle tests: the evaluation grid must survive gob
-// persistence, be rebuilt by the background refresher on retrain, and be
-// absent (with the quadrature fallback serving) when trained GRID OFF.
+// persistence and be rebuilt by the background refresher on retrain.
 
 // explainKernel returns the kernel= tag of the plan for sql.
 func explainKernel(t *testing.T, eng *dbest.Engine, sql string) string {
@@ -30,10 +29,10 @@ func explainKernel(t *testing.T, eng *dbest.Engine, sql string) string {
 	return rest
 }
 
-// queryKernelDelta runs sql and returns how far the grid-hit and
-// grid-fallback counters moved. The counters are process-wide, so the
-// delta is only meaningful because tests in one binary run sequentially.
-func queryKernelDelta(t *testing.T, eng *dbest.Engine, sql string) (hits, fallbacks uint64) {
+// queryGridHits runs sql and returns how far the grid-hit counter moved.
+// The counter is process-wide, so the delta is only meaningful because
+// tests in one binary run sequentially.
+func queryGridHits(t *testing.T, eng *dbest.Engine, sql string) uint64 {
 	t.Helper()
 	before := eng.EvalKernelStats()
 	res, err := eng.Query(sql)
@@ -44,12 +43,12 @@ func queryKernelDelta(t *testing.T, eng *dbest.Engine, sql string) (hits, fallba
 		t.Fatalf("source = %q, want model", res.Source)
 	}
 	after := eng.EvalKernelStats()
-	return after.GridHits - before.GridHits, after.GridFallbacks - before.GridFallbacks
+	return after.GridHits - before.GridHits
 }
 
 // TestGridSurvivesPersistence saves a grid-bearing model with SaveModels
 // and reloads it into a fresh engine: the reloaded model must keep serving
-// from the grid, not silently fall back to quadrature.
+// from the grid with bit-identical answers.
 func TestGridSurvivesPersistence(t *testing.T) {
 	eng := newStreamEngine(t, 4000)
 	sumSQL := "SELECT SUM(y) FROM stream WHERE x BETWEEN 100 AND 900"
@@ -75,9 +74,8 @@ func TestGridSurvivesPersistence(t *testing.T) {
 	if k := explainKernel(t, eng2, sumSQL); k != "grid" {
 		t.Fatalf("reloaded kernel = %q, want grid", k)
 	}
-	hits, fallbacks := queryKernelDelta(t, eng2, sumSQL)
-	if hits == 0 || fallbacks != 0 {
-		t.Fatalf("reloaded query moved hits=%d fallbacks=%d, want grid-only", hits, fallbacks)
+	if hits := queryGridHits(t, eng2, sumSQL); hits == 0 {
+		t.Fatal("reloaded query moved no grid hits")
 	}
 	got, err := eng2.Query(sumSQL)
 	if err != nil {
@@ -89,31 +87,8 @@ func TestGridSurvivesPersistence(t *testing.T) {
 	}
 }
 
-// TestGridOffTrainsAndServesOnQuadrature covers the GridKnots escape hatch
-// end to end: EXPLAIN reports the quad kernel and queries move only the
-// fallback counter.
-func TestGridOffTrainsAndServesOnQuadrature(t *testing.T) {
-	eng := dbest.New(nil)
-	if err := eng.RegisterTable(streamTable(3000, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Train("stream", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 1000, Seed: 1, GridKnots: -1}); err != nil {
-		t.Fatal(err)
-	}
-	avgSQL := "SELECT AVG(y) FROM stream WHERE x BETWEEN 200 AND 800"
-	if k := explainKernel(t, eng, avgSQL); k != "quad" {
-		t.Fatalf("kernel = %q, want quad", k)
-	}
-	hits, fallbacks := queryKernelDelta(t, eng, avgSQL)
-	if fallbacks == 0 || hits != 0 {
-		t.Fatalf("GRID OFF query moved hits=%d fallbacks=%d, want quadrature-only", hits, fallbacks)
-	}
-}
-
 // TestRefresherRebuildsGrid verifies a background retrain produces a model
-// that still serves from a grid — the rebuild rides the trainPair funnel,
-// so a refresh must not degrade the ensemble to the quadrature path.
+// that still serves from a grid — the rebuild rides the trainPair funnel.
 func TestRefresherRebuildsGrid(t *testing.T) {
 	const base = 4000
 	eng := newStreamEngine(t, base)
@@ -144,8 +119,7 @@ func TestRefresherRebuildsGrid(t *testing.T) {
 	if k := explainKernel(t, eng, sumSQL); k != "grid" {
 		t.Fatalf("post-refresh kernel = %q, want grid", k)
 	}
-	hits, fallbacks := queryKernelDelta(t, eng, sumSQL)
-	if hits == 0 || fallbacks != 0 {
-		t.Fatalf("post-refresh query moved hits=%d fallbacks=%d, want grid-only", hits, fallbacks)
+	if hits := queryGridHits(t, eng, sumSQL); hits == 0 {
+		t.Fatal("post-refresh query moved no grid hits")
 	}
 }

@@ -224,22 +224,21 @@ func (e *Engine) RefreshStats() RefreshStats {
 // appended rows continue the training sample stream and FracReplaced
 // reports real sample drift. Join, GROUP BY and nominal models sample
 // per-group/per-value streams that a single mirror cannot represent, so
-// they track ingested-row fractions only. Rows appended while the training
-// ran are credited as already-ingested (curRows vs baseRows) instead of
-// being silently dropped by the ledger reset. The registration runs under
+// they track ingested-row fractions only. The retrain re-executes spec.
+// Rows appended while the training ran are credited as already-ingested
+// (curRows vs baseRows) instead of being silently dropped by the ledger
+// reset. The registration runs under
 // appendMu so the live row count and the Register are atomic with respect
 // to concurrent Appends — otherwise an append landing between the two
 // would be double-counted (curRows already has it, ledger.Append adds it
 // again) or lost (notified on the entry Register is about to replace).
-func (e *Engine) trackModel(ms *core.ModelSet, tables []string, baseRows int, opts *TrainOptions, retrain ingest.RetrainFunc) {
-	resCap, seed := 0, int64(0)
-	if opts != nil {
-		seed = opts.Seed
-	}
+func (e *Engine) trackModel(ms *core.ModelSet, spec *ModelSpec, baseRows int) {
+	tables := spec.watchTables()
+	resCap := 0
 	if len(tables) == 1 && ms.GroupBy == "" && ms.NominalBy == "" {
 		resCap = core.DefaultSampleSize
-		if opts != nil && opts.SampleSize > 0 {
-			resCap = opts.SampleSize
+		if spec.SampleSize > 0 {
+			resCap = spec.SampleSize
 		}
 	}
 	e.appendMu.Lock()
@@ -253,5 +252,5 @@ func (e *Engine) trackModel(ms *core.ModelSet, tables []string, baseRows int, op
 	if curRows < baseRows {
 		curRows = baseRows
 	}
-	e.ledger.Register(ms.Key(), tables, baseRows, curRows, resCap, seed, retrain)
+	e.ledger.Register(ms.Key(), tables, baseRows, curRows, resCap, spec.Seed, e.specRetrain(spec))
 }

@@ -191,7 +191,7 @@ func (c *Catalog) ReplaceShards(sets []*core.ModelSet) []string {
 
 // ReplaceMember overwrites the model set whose exact key is already
 // present, reporting whether it did. It is the per-shard refresh commit: a
-// background retrain may race a TrainSharded that replaced the whole
+// background retrain may race a sharded CreateModel that replaced the whole
 // ensemble (possibly with a different shard count), and blindly Putting
 // the finished member would resurrect a stray key from the dead ensemble —
 // an incomplete ghost that SaveModels could no longer round-trip. If the
@@ -273,14 +273,24 @@ func (c *Catalog) Save(w io.Writer) error {
 // whose shard-suffixed keys do not form complete ensembles — shards
 // missing, or the same column pair saved under mixed shard counts — is
 // rejected and the current catalog is left untouched: loading it would
-// silently serve a partial ensemble that drops part of the x-domain.
-func (c *Catalog) Load(r io.Reader) error {
+// silently serve a partial ensemble that drops part of the x-domain. So is
+// a file holding a model pair without an evaluation grid, or a set that
+// check, when non-nil, rejects.
+func (c *Catalog) Load(r io.Reader, check func(*core.ModelSet) error) error {
 	var sets []*core.ModelSet
 	if err := gob.NewDecoder(r).Decode(&sets); err != nil {
 		return fmt.Errorf("catalog: decode: %w", err)
 	}
 	models := make(map[string]*core.ModelSet, len(sets))
 	for _, ms := range sets {
+		if err := ms.CheckGrids(); err != nil {
+			return err
+		}
+		if check != nil {
+			if err := check(ms); err != nil {
+				return err
+			}
+		}
 		models[ms.Key()] = ms
 	}
 	if err := validateShardEnsembles(models); err != nil {
@@ -323,7 +333,7 @@ func validateShardEnsembles(models map[string]*core.ModelSet) error {
 	}
 	for base, g := range groups {
 		if len(g.seen) != g.shards {
-			return fmt.Errorf("catalog: ensemble %s is incomplete: %d of %d shards present; retrain it with TRAIN ... SHARDS %d",
+			return fmt.Errorf("catalog: ensemble %s is incomplete: %d of %d shards present; retrain it with CREATE MODEL ... SHARDS %d",
 				base, len(g.seen), g.shards, g.shards)
 		}
 	}
@@ -344,11 +354,11 @@ func (c *Catalog) SaveFile(path string) error {
 }
 
 // LoadFile loads a catalog persisted by SaveFile.
-func (c *Catalog) LoadFile(path string) error {
+func (c *Catalog) LoadFile(path string, check func(*core.ModelSet) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return c.Load(f)
+	return c.Load(f, check)
 }

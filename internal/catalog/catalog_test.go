@@ -98,7 +98,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := New()
-	if err := c2.Load(&buf); err != nil {
+	if err := c2.Load(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := c2.Get(ms.Key())
@@ -127,20 +127,20 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := New()
-	if err := c2.LoadFile(path); err != nil {
+	if err := c2.LoadFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d", c2.Len())
 	}
-	if err := c2.LoadFile(path + ".missing"); err == nil {
+	if err := c2.LoadFile(path+".missing", nil); err == nil {
 		t.Fatal("want error for missing file")
 	}
 }
 
 func TestLoadGarbage(t *testing.T) {
 	c := New()
-	if err := c.Load(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if err := c.Load(bytes.NewReader([]byte("not a gob")), nil); err == nil {
 		t.Fatal("want decode error")
 	}
 }
@@ -243,7 +243,7 @@ func TestGeneration(t *testing.T) {
 	if err := full.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(&buf); err != nil {
+	if err := c.Load(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g3 := c.Generation(); g3 <= g2 {
@@ -346,7 +346,7 @@ func TestScanTableIndexInvalidation(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(&buf); err != nil {
+	if err := c.Load(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 2 {
@@ -405,11 +405,13 @@ func TestInvalidateBumpsGenerationWithoutMutation(t *testing.T) {
 	}
 }
 
-// shardSet builds a minimal sharded model-set member for catalog tests.
+// shardSet builds a minimal sharded model-set member for catalog tests. Its
+// two-knot grid is just valid enough for Load to accept it.
 func shardSet(tbl, x, y string, i, k int) *core.ModelSet {
+	grid := &core.EvalGrid{Knots: []float64{0, 1}, CumD: []float64{0, 1}}
 	return &core.ModelSet{
 		Table: tbl, XCols: []string{x}, YCol: y, N: 100,
-		Uni:   &core.UniModel{XCol: x, YCol: y, N: 100},
+		Uni:   &core.UniModel{XCol: x, YCol: y, N: 100, Grid: grid},
 		Shard: i, Shards: k,
 		ShardLo: float64(i * 10), ShardHi: float64((i + 1) * 10),
 	}
@@ -506,7 +508,7 @@ func TestLoadRejectsPartialShardEnsembles(t *testing.T) {
 		c.Put(ms)
 	}
 	dst := New()
-	if err := dst.Load(bytes.NewReader(save(c))); err != nil {
+	if err := dst.Load(bytes.NewReader(save(c)), nil); err != nil {
 		t.Fatalf("complete ensemble rejected: %v", err)
 	}
 	if got := dst.LookupSharded("t", "x", "y"); len(got) != 4 {
@@ -516,7 +518,7 @@ func TestLoadRejectsPartialShardEnsembles(t *testing.T) {
 	// Missing shard: rejected, destination untouched.
 	c.Remove(shardSet("t", "x", "y", 1, 4).Key())
 	partial := save(c)
-	if err := dst.Load(bytes.NewReader(partial)); err == nil {
+	if err := dst.Load(bytes.NewReader(partial), nil); err == nil {
 		t.Fatal("want error loading a partial ensemble")
 	}
 	if got := dst.LookupSharded("t", "x", "y"); len(got) != 4 {
@@ -529,7 +531,7 @@ func TestLoadRejectsPartialShardEnsembles(t *testing.T) {
 		c2.Put(ms)
 	}
 	c2.Put(shardSet("t", "x", "y", 2, 4))
-	if err := dst.Load(bytes.NewReader(save(c2))); err == nil {
+	if err := dst.Load(bytes.NewReader(save(c2)), nil); err == nil {
 		t.Fatal("want error loading mixed shard counts")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -35,15 +37,14 @@ import (
 // the density path uses. AVG of a range where the ensemble predicts a
 // constant is exactly that constant: numerator and denominator share ΔCDF.
 //
-// The adaptive rule remains the runtime fallback: a grid that fails
-// build-time validation (a constituent that is not piecewise linear over
-// the panels, a degenerate support) is discarded and the model keeps
-// answering through quadrature.
+// The grid is the only runtime kernel for univariate models: a grid that
+// fails build-time validation (a constituent that is not piecewise linear
+// over the panels, a degenerate support) fails training with the reason.
 
 // DefaultGridKnots is the base knot budget used when TrainConfig.GridKnots
-// is 0. Ensemble breakpoints are added on top; at default training sizes a
-// grid costs on the order of 100 KB per model — within the paper's "a few
-// 100s KBs" model budget.
+// is not positive. Ensemble breakpoints are added on top; at default
+// training sizes a grid costs on the order of 100 KB per model — within the
+// paper's "a few 100s KBs" model budget.
 const DefaultGridKnots = 512
 
 // maxGridKnots bounds the knot vector against pathological breakpoint
@@ -59,41 +60,12 @@ const maxGridKnots = 32768
 // grid cannot represent.
 const gridErrBound = 1e-8
 
-// Process-wide evaluation-kernel counters (exposed as /stats fields).
-// gridHits/gridFallbacks count model-path integral evaluations answered by
-// a grid vs by adaptive quadrature; quadNonconverged counts quadrature runs
-// that exhausted their subdivision budget (ErrMaxIter) and had their best
-// estimate silently accepted — previously invisible, now observable.
-var (
-	gridHits         atomic.Uint64
-	gridFallbacks    atomic.Uint64
-	quadNonconverged atomic.Uint64
-)
+// gridHits counts model-path integral evaluations answered by a grid,
+// process-wide (exposed as a /stats field).
+var gridHits atomic.Uint64
 
-// EvalCounters is a snapshot of the process-wide evaluation-kernel
-// counters.
-type EvalCounters struct {
-	GridHits         uint64
-	GridFallbacks    uint64
-	QuadNonconverged uint64
-}
-
-// ReadEvalCounters snapshots the evaluation-kernel counters.
-func ReadEvalCounters() EvalCounters {
-	return EvalCounters{
-		GridHits:         gridHits.Load(),
-		GridFallbacks:    gridFallbacks.Load(),
-		QuadNonconverged: quadNonconverged.Load(),
-	}
-}
-
-// ResetEvalCounters zeroes the evaluation-kernel counters (tests and A/B
-// benchmarks).
-func ResetEvalCounters() {
-	gridHits.Store(0)
-	gridFallbacks.Store(0)
-	quadNonconverged.Store(0)
-}
+// GridHits reads the process-wide grid-evaluation counter.
+func GridHits() uint64 { return gridHits.Load() }
 
 // EvalGrid is a model's precomputed prefix-integral table set. The
 // regression tables are per ensemble constituent — the ensemble selects a
@@ -127,7 +99,8 @@ type EvalGrid struct {
 }
 
 // Valid reports whether the grid can answer lookups. A nil receiver is
-// valid to query (models from old catalogs decode with a nil grid).
+// valid to query (models from old catalogs decode with a nil grid, and
+// catalog loading rejects them).
 func (g *EvalGrid) Valid() bool {
 	return g != nil && len(g.Knots) >= 2 && len(g.CumD) == len(g.Knots)
 }
@@ -324,7 +297,7 @@ func (g *EvalGrid) InvertCDF(p float64) float64 {
 // to align panels with prediction discontinuities. A constituent that does
 // not implement it (or whose breakpoints were thinned by maxGridKnots) is
 // not necessarily linear within panels — validation then decides whether
-// the grid still holds up or the model stays on quadrature.
+// the grid still holds up or training fails.
 type breakpointer interface{ Breakpoints() []float64 }
 
 // gridKnots places the base knots over the density support — half uniform
@@ -475,11 +448,11 @@ func refineCDFKnots(d *kde.Binned, kn []float64) (knots, cumD, dVal []float64) {
 }
 
 // buildGrid tabulates the model's prefix-integral grid with the given base
-// knot budget, validates it, and returns nil — leaving the model on the
-// quadrature path — if the support is degenerate or validation fails.
-func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
+// knot budget and validates it. The error says why no grid could be built:
+// a degenerate support or a failed validation check.
+func buildGrid(m *UniModel, knots, workers int) (*EvalGrid, error) {
 	if m.D == nil || m.R == nil || len(m.R.Models) == 0 {
-		return nil
+		return nil, errors.New("core: grid needs a density and a regression model")
 	}
 	nc := len(m.R.Models)
 	var jumps []float64
@@ -491,7 +464,8 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 	sort.Float64s(jumps)
 	kn := gridKnots(m.D, knots, jumps)
 	if kn == nil {
-		return nil
+		lo, hi := m.D.Support()
+		return nil, fmt.Errorf("core: grid has no knots over density support [%g, %g] with budget %d", lo, hi, knots)
 	}
 	kn, cumD, dVal := refineCDFKnots(m.D, kn)
 	nk := len(kn)
@@ -511,9 +485,6 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 			out[3+2*c] = d * r * r
 		}
 	}, 2+2*nc, kn, workers)
-	if pref == nil {
-		return nil
-	}
 
 	g := &EvalGrid{
 		Knots: kn, CumXD: pref[0], CumX2D: pref[1],
@@ -560,10 +531,10 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 		g.CumDR[c] = cdr
 		g.CumDR2[c] = cdr2
 	}
-	if !m.validateGrid(g, pref) {
-		return nil
+	if err := m.validateGrid(g, pref); err != nil {
+		return nil, err
 	}
-	return g
+	return g, nil
 }
 
 // validateGrid checks the two places the grid could silently go wrong:
@@ -571,8 +542,8 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 // the per-panel linear-R reconstruction of every ∫D·R_c panel against the
 // fused Gauss–Kronrod panel integrals (deltas of pref rows 2+2c and 3+2c).
 // A constituent that is not piecewise linear over the panels shows up
-// here, and the model stays on quadrature.
-func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64) bool {
+// here, and the error names the check, the panel and the error it saw.
+func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64) error {
 	nk := len(g.Knots)
 	panels := nk - 1
 	nc := len(g.RA)
@@ -586,19 +557,28 @@ func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64) bool {
 		drScale[c] = math.Max(math.Abs(g.CumDR[c][nk-1]), 1e-300)
 		dr2Scale[c] = math.Max(math.Abs(g.CumDR2[c][nk-1]), 1e-300)
 	}
-	check := func(got, want, scale float64) bool {
+	// check records the relative error of one panel's reconstruction; c
+	// is the regression constituent, or -1 for the CDF check.
+	check := func(what string, c, k int, got, want, scale float64) error {
 		rel := math.Abs(got-want) / math.Max(math.Abs(want), 1e-3*scale)
 		if rel > worst {
 			worst = rel
 		}
-		return rel <= gridErrBound
+		if rel <= gridErrBound {
+			return nil
+		}
+		if c >= 0 {
+			what = fmt.Sprintf("%s of constituent %d", what, c)
+		}
+		return fmt.Errorf("core: grid validation failed: %s on panel [%g, %g] has relative error %.3g (bound %g)",
+			what, g.Knots[k], g.Knots[k+1], rel, gridErrBound)
 	}
 	// CDF midpoint spot checks (every panel is cheap enough: one closed
 	// form CDF per panel, same order of work as the build pass itself).
 	for k := 0; k < panels; k++ {
 		mid := 0.5 * (g.Knots[k] + g.Knots[k+1])
-		if !check(g.cdfAt(mid), m.D.CDF(mid), massScale) {
-			return false
+		if err := check("CDF", -1, k, g.cdfAt(mid), m.D.CDF(mid), massScale); err != nil {
+			return err
 		}
 	}
 	for c := 0; c < nc; c++ {
@@ -609,14 +589,14 @@ func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64) bool {
 			dx2d := pref[1][k+1] - pref[1][k]
 			gk := pref[2+2*c][k+1] - pref[2+2*c][k]
 			gk2 := pref[3+2*c][k+1] - pref[3+2*c][k]
-			if !check(a*dxd+b*dd, gk, drScale[c]) {
-				return false
+			if err := check("∫D·R", c, k, a*dxd+b*dd, gk, drScale[c]); err != nil {
+				return err
 			}
-			if !check(a*a*dx2d+2*a*b*dxd+b*b*dd, gk2, dr2Scale[c]) {
-				return false
+			if err := check("∫D·R²", c, k, a*a*dx2d+2*a*b*dxd+b*b*dd, gk2, dr2Scale[c]); err != nil {
+				return err
 			}
 		}
 	}
 	g.MaxRelErr = worst
-	return true
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"dbest/internal/exact"
 	"dbest/internal/quadrature"
+	"dbest/internal/shard"
 	"dbest/internal/table"
 )
 
@@ -31,22 +32,82 @@ func mixTable(n int, seed int64) *table.Table {
 	return tb
 }
 
-// stripGrid returns a copy of m forced onto the quadrature path.
-func stripGrid(m *UniModel) *UniModel {
-	c := *m
-	c.Grid = nil
-	return &c
+// quadOracle answers a model's aggregates from its density and regression
+// directly — the closed-form CDF plus adaptive quadrature at tolerances
+// tight enough to converge on the discontinuous D·R integrands — so the
+// comparison measures the grid's error, not the reference's.
+type quadOracle struct {
+	t *testing.T
+	m *UniModel
 }
 
-// withTightQuad raises the adaptive rule's budget for the duration of a
-// test, so the quadrature baseline converges on the discontinuous D·R
-// integrands and the comparison measures the grid's error, not the
-// runtime fallback's subdivision cap.
-func withTightQuad(t *testing.T) {
-	t.Helper()
-	old := quadOpts
-	quadOpts = &quadrature.Options{AbsTol: 1e-12, RelTol: 1e-9, MaxIter: 4096, InitialPanels: 32}
-	t.Cleanup(func() { quadOpts = old })
+var tightQuad = &quadrature.Options{AbsTol: 1e-12, RelTol: 1e-9, MaxIter: 4096, InitialPanels: 32}
+
+// moment computes ∫ x^power·D (yIsX) or ∫ D·R^power over [lb, ub], with the
+// ensemble constituent the range selects.
+func (q quadOracle) moment(yIsX bool, power int, lb, ub float64) float64 {
+	m := q.m
+	reg := m.R.ForRange(lb, ub)
+	res, err := quadrature.Integrate(func(x float64) float64 {
+		f := x
+		if !yIsX {
+			f = reg.Predict1(x)
+		}
+		v := m.D.Density(x)
+		for i := 0; i < power; i++ {
+			v *= f
+		}
+		return v
+	}, lb, ub, tightQuad)
+	if err != nil && err != quadrature.ErrMaxIter {
+		q.t.Fatal(err)
+	}
+	return res.Value
+}
+
+// aggregate mirrors UniModel.Aggregate for bounded spans.
+func (q quadOracle) aggregate(af exact.AggFunc, lb, ub float64, yIsX bool, p float64) (float64, error) {
+	m := q.m
+	lbc, ubc := m.clip(lb, ub)
+	den := m.D.Mass(lbc, ubc)
+	switch {
+	case af == exact.Count:
+		return m.N * m.D.Mass(lb, ub), nil
+	case den < 1e-12 && af == exact.Sum:
+		return 0, nil
+	case den < 1e-12:
+		return 0, ErrNoSupport
+	case af == exact.Percentile:
+		target := m.D.CDF(lbc) + p*den
+		return quadrature.Bisect(func(x float64) float64 { return m.D.CDF(x) - target }, lbc, ubc, 1e-10, 200)
+	case af == exact.Sum:
+		return m.N * q.moment(false, 1, lbc, ubc), nil
+	}
+	ex := q.moment(yIsX, 1, lbc, ubc) / den
+	if af == exact.Avg {
+		return ex, nil
+	}
+	v := math.Max(q.moment(yIsX, 2, lbc, ubc)/den-ex*ex, 0)
+	if af == exact.StdDev {
+		return math.Sqrt(v), nil
+	}
+	return v, nil
+}
+
+// partial mirrors UniModel.Partial.
+func (q quadOracle) partial(lb, ub float64, yIsX bool) shard.Partial {
+	m := q.m
+	var p shard.Partial
+	mass := m.D.Mass(lb, ub)
+	if mass < 1e-12 {
+		return p
+	}
+	lbc, ubc := m.clip(lb, ub)
+	p.Support = true
+	p.Count = m.N * mass
+	p.Sum = m.N * q.moment(yIsX, 1, lbc, ubc)
+	p.SumSq = m.N * q.moment(yIsX, 2, lbc, ubc)
+	return p
 }
 
 // gridRelErr is the equivalence bound the grid kernel must hold against
@@ -65,16 +126,12 @@ func TestGridMatchesQuadrature(t *testing.T) {
 		{"bimodal", mixTable(8000, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			withTightQuad(t)
 			ms, err := Train(tc.tb, []string{"x"}, "y", &TrainConfig{SampleSize: 1000, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := ms.Uni
-			if !m.HasGrid() {
-				t.Fatal("training did not build a validated grid")
-			}
-			q := stripGrid(m)
+			q := quadOracle{t, m}
 			lo, hi := m.D.Support()
 			rng := rand.New(rand.NewSource(99))
 			afs := []exact.AggFunc{exact.Count, exact.Sum, exact.Avg,
@@ -97,7 +154,7 @@ func TestGridMatchesQuadrature(t *testing.T) {
 							continue
 						}
 						got, gerr := m.Aggregate(af, lb, ub, yIsX, p)
-						want, werr := q.Aggregate(af, lb, ub, yIsX, p)
+						want, werr := q.aggregate(af, lb, ub, yIsX, p)
 						if (gerr == nil) != (werr == nil) {
 							t.Fatalf("%v yIsX=%v [%g,%g]: grid err %v vs quad err %v",
 								af, yIsX, lb, ub, gerr, werr)
@@ -123,17 +180,13 @@ func TestGridMatchesQuadrature(t *testing.T) {
 // TestGridPartialMatchesQuadrature compares the shard-mergeable moment
 // triples between kernels.
 func TestGridPartialMatchesQuadrature(t *testing.T) {
-	withTightQuad(t)
 	tb := mixTable(8000, 11)
 	ms, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 1000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := ms.Uni
-	if !m.HasGrid() {
-		t.Fatal("training did not build a validated grid")
-	}
-	q := stripGrid(m)
+	q := quadOracle{t, m}
 	rng := rand.New(rand.NewSource(12))
 	lo, hi := m.D.Support()
 	for trial := 0; trial < 10; trial++ {
@@ -141,11 +194,8 @@ func TestGridPartialMatchesQuadrature(t *testing.T) {
 		lb := lo + rng.Float64()*(hi-lo-width)
 		ub := lb + width
 		for _, yIsX := range []bool{false, true} {
-			gp, gerr := m.Partial(lb, ub, yIsX, true, true)
-			qp, qerr := q.Partial(lb, ub, yIsX, true, true)
-			if gerr != nil || qerr != nil {
-				t.Fatalf("partial errors: grid %v quad %v", gerr, qerr)
-			}
+			gp := m.Partial(lb, ub, yIsX, true, true)
+			qp := q.partial(lb, ub, yIsX)
 			if gp.Support != qp.Support {
 				t.Fatalf("support mismatch: grid %v quad %v", gp.Support, qp.Support)
 			}
@@ -162,42 +212,11 @@ func TestGridPartialMatchesQuadrature(t *testing.T) {
 	}
 }
 
-// TestGridDisabled verifies the GridKnots < 0 escape hatch (the A/B
-// baseline) and the default-on behavior.
-func TestGridDisabled(t *testing.T) {
-	tb := linTable(5000, 8)
-	off, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1, GridKnots: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Uni.HasGrid() {
-		t.Fatal("GridKnots -1 still built a grid")
-	}
-	if off.EvalKernel() != "quad" {
-		t.Fatalf("EvalKernel = %q, want quad", off.EvalKernel())
-	}
-	on, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !on.Uni.HasGrid() {
-		t.Fatal("default training did not build a grid")
-	}
-	if on.EvalKernel() != "grid" {
-		t.Fatalf("EvalKernel = %q, want grid", on.EvalKernel())
-	}
-	if on.Uni.Grid.MaxRelErr > gridErrBound {
-		t.Fatalf("validated grid reports MaxRelErr %g above the bound %g",
-			on.Uni.Grid.MaxRelErr, gridErrBound)
-	}
-	if kn := len(on.Uni.Grid.Knots); kn < DefaultGridKnots/2 {
-		t.Fatalf("default grid has %d knots, want at least %d", kn, DefaultGridKnots/2)
-	}
-}
-
 // TestGridCustomKnots verifies the base knot budget flows through: the
 // knot vector is budget-many base knots plus the ensemble's breakpoints,
-// so a larger budget yields a strictly denser grid over the same model.
+// so a larger budget yields a strictly denser grid over the same model. The
+// default budget (0) builds a grid of at least DefaultGridKnots/2 knots
+// that validated within the build-time bound.
 func TestGridCustomKnots(t *testing.T) {
 	tb := linTable(5000, 9)
 	small, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1, GridKnots: 64})
@@ -216,30 +235,83 @@ func TestGridCustomKnots(t *testing.T) {
 		t.Fatalf("budget 64 produced %d knots, budget 1024 produced %d — want the latter denser",
 			len(gs.Knots), len(gl.Knots))
 	}
+	def, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.EvalKernel() != "grid" {
+		t.Fatalf("EvalKernel = %q, want grid", def.EvalKernel())
+	}
+	if g := def.Uni.Grid; g.MaxRelErr > gridErrBound || len(g.Knots) < DefaultGridKnots/2 {
+		t.Fatalf("default grid has %d knots and MaxRelErr %g, want at least %d knots within %g",
+			len(g.Knots), g.MaxRelErr, DefaultGridKnots/2, gridErrBound)
+	}
 }
 
-// TestGridCounters verifies the kernel counters move on the expected paths.
+// TestGridCounters verifies the kernel counter moves on the grid path.
 func TestGridCounters(t *testing.T) {
 	tb := linTable(5000, 10)
 	on, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetEvalCounters()
-	if _, err := on.Uni.Sum(20, 60); err != nil {
-		t.Fatal(err)
+	before := GridHits()
+	on.Uni.Sum(20, 60)
+	if GridHits() == before {
+		t.Fatal("a grid-path SUM moved no grid hits")
 	}
-	c := ReadEvalCounters()
-	if c.GridHits == 0 || c.GridFallbacks != 0 {
-		t.Fatalf("grid-path counters = %+v, want hits > 0 and no fallbacks", c)
+}
+
+// TestGridMassMatchesClosedForm is the differential check for serving mass
+// from the grid: over random spans on trained models, grid Count and
+// Partial.Count must agree with the closed-form N·D.Mass oracle within 1e-8
+// relative to N, the grid's build-time CDF bound, and PredictRelErr must
+// equal the closed-form prediction at a mass within 1e-8 of D.Mass. (Error
+// relative to the span's own mass is unbounded in near-empty density
+// valleys, where both masses approach zero.)
+func TestGridMassMatchesClosedForm(t *testing.T) {
+	const bound = 1e-8
+	for _, tc := range []struct {
+		name string
+		tb   *table.Table
+	}{
+		{"linear", linTable(8000, 3)},
+		{"bimodal", mixTable(8000, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms, err := Train(tc.tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := ms.Uni
+			if !m.EB.Valid() {
+				t.Fatal("training fitted no error predictor")
+			}
+			lo, hi := m.D.Support()
+			rng := rand.New(rand.NewSource(21))
+			for trial := 0; trial < 400; trial++ {
+				// Spans may start or end outside the support.
+				lb := lo + (hi-lo)*(1.2*rng.Float64()-0.1)
+				ub := lb + (hi-lo)*rng.Float64()
+				mass := m.D.Mass(lb, ub)
+				for what, got := range map[string]float64{
+					"Count":         m.Count(lb, ub),
+					"Partial.Count": m.Partial(lb, ub, false, false, false).Count,
+				} {
+					if r := math.Abs(got-m.N*mass) / m.N; r > bound {
+						t.Errorf("%s [%g,%g] = %.12g, closed form %.12g (rel %.3g)", what, lb, ub, got, m.N*mass, r)
+					}
+				}
+				// RelErr falls as the selected mass grows.
+				for _, af := range []exact.AggFunc{exact.Count, exact.Sum, exact.Avg, exact.Variance} {
+					got := m.PredictRelErr(af, lb, ub)
+					hiRe, loRe := m.EB.RelErr(af, mass-bound), m.EB.RelErr(af, mass+bound)
+					if got < loRe || got > hiRe {
+						t.Errorf("PredictRelErr(%v) [%g,%g] = %.12g, closed form within mass ±%g gives [%.12g, %.12g]",
+							af, lb, ub, got, bound, loRe, hiRe)
+					}
+				}
+			}
+		})
 	}
-	ResetEvalCounters()
-	if _, err := stripGrid(on.Uni).Sum(20, 60); err != nil {
-		t.Fatal(err)
-	}
-	c = ReadEvalCounters()
-	if c.GridFallbacks == 0 || c.GridHits != 0 {
-		t.Fatalf("quad-path counters = %+v, want fallbacks > 0 and no hits", c)
-	}
-	ResetEvalCounters()
 }

@@ -16,7 +16,6 @@ import (
 	"dbest/internal/boost"
 	"dbest/internal/exact"
 	"dbest/internal/kde"
-	"dbest/internal/quadrature"
 	"dbest/internal/shard"
 )
 
@@ -29,12 +28,6 @@ func init() {
 	gob.Register(&boost.PiecewiseLinear{})
 	gob.Register(&boost.Ensemble{})
 }
-
-// quadOpts are the integration tolerances used for the ∫D·R integrals.
-// They mirror the paper's accuracy-efficiency trade-off discussion (§3,
-// Integral Evaluation): tight enough that integration error is negligible
-// against model error, loose enough for sub-millisecond evaluation.
-var quadOpts = &quadrature.Options{AbsTol: 1e-9, RelTol: 1e-6, MaxIter: 64, InitialPanels: 8}
 
 // ErrNoSupport is returned when a range predicate selects a region where
 // the density estimator has (almost) no mass, so regression-based
@@ -52,11 +45,9 @@ type UniModel struct {
 	R          *boost.Ensemble
 	XLo, XHi   float64 // observed x-domain of the training sample
 
-	// Grid is the train-time prefix-integral table set that answers range
-	// integrals in O(log knots) instead of a quadrature run. nil — on
-	// models from old catalogs, when training disabled it, or when build
-	// validation rejected it — keeps the model on the adaptive-quadrature
-	// path, which remains the oracle and fallback.
+	// Grid is the train-time prefix-integral table set that answers every
+	// range integral in O(log knots). Training fails when it cannot build
+	// a valid grid, and catalog loading rejects models without one.
 	Grid *EvalGrid
 
 	// EB is the train-time error predictor: bootstrap-fitted per-family
@@ -66,10 +57,6 @@ type UniModel struct {
 	EB *ErrBounds
 }
 
-// HasGrid reports whether a validated evaluation grid answers this model's
-// integrals.
-func (m *UniModel) HasGrid() bool { return m.Grid.Valid() }
-
 // PredictRelErr predicts the relative error of aggregate af evaluated over
 // [lb, ub] on this model, from the train-time error predictor at the
 // range's selected mass fraction. 0 means unknown — the model carries no
@@ -78,21 +65,15 @@ func (m *UniModel) PredictRelErr(af exact.AggFunc, lb, ub float64) float64 {
 	if !m.EB.Valid() {
 		return 0
 	}
-	return m.EB.RelErr(af, m.D.Mass(lb, ub))
+	return m.EB.RelErr(af, m.mass(lb, ub))
 }
 
-// mass returns ∫_lb^ub D: from the grid's cumulative-density table on the
-// grid path (so numerators and denominators of one answer come from the
-// same kernel), else the closed-form CDF.
-func (m *UniModel) mass(lb, ub float64) float64 {
-	if m.Grid.Valid() {
-		return m.Grid.Mass(lb, ub)
-	}
-	return m.D.Mass(lb, ub)
-}
+// mass returns ∫_lb^ub D from the grid's cumulative-density table, so the
+// numerators and denominators of one answer come from the same kernel.
+func (m *UniModel) mass(lb, ub float64) float64 { return m.Grid.Mass(lb, ub) }
 
-// clip narrows [lb, ub] to the estimator's support to keep quadrature off
-// regions that are identically zero.
+// clip narrows [lb, ub] to the estimator's support, where the grid's knots
+// span.
 func (m *UniModel) clip(lb, ub float64) (float64, float64) {
 	slo, shi := m.D.Support()
 	if lb < slo {
@@ -104,10 +85,9 @@ func (m *UniModel) clip(lb, ub float64) (float64, float64) {
 	return lb, ub
 }
 
-// Count evaluates Eq. 1: COUNT ≈ N · ∫ D(x) dx, with the Gaussian-KDE CDF
-// in closed form (no quadrature needed).
+// Count evaluates Eq. 1: COUNT ≈ N · ∫ D(x) dx.
 func (m *UniModel) Count(lb, ub float64) float64 {
-	return m.N * m.D.Mass(lb, ub)
+	return m.N * m.mass(lb, ub)
 }
 
 // Avg evaluates Eq. 6: AVG(y) ≈ ∫ D·R dx / ∫ D dx.
@@ -117,24 +97,16 @@ func (m *UniModel) Avg(lb, ub float64) (float64, error) {
 	if den < 1e-12 {
 		return 0, ErrNoSupport
 	}
-	num, err := m.integrateDR(lb, ub, 1)
-	if err != nil {
-		return 0, err
-	}
-	return num / den, nil
+	return m.integrateDR(lb, ub, 1) / den, nil
 }
 
 // Sum evaluates Eq. 7: SUM(y) ≈ N · ∫ D·R dx.
-func (m *UniModel) Sum(lb, ub float64) (float64, error) {
+func (m *UniModel) Sum(lb, ub float64) float64 {
 	lb, ub = m.clip(lb, ub)
 	if m.mass(lb, ub) < 1e-12 {
-		return 0, nil // no rows selected: SUM is 0, like SQL over empty sets
+		return 0 // no rows selected: SUM is 0, like SQL over empty sets
 	}
-	num, err := m.integrateDR(lb, ub, 1)
-	if err != nil {
-		return 0, err
-	}
-	return m.N * num, nil
+	return m.N * m.integrateDR(lb, ub, 1)
 }
 
 // VarianceY evaluates Eq. 8, the regression-based VARIANCE(y):
@@ -145,16 +117,8 @@ func (m *UniModel) VarianceY(lb, ub float64) (float64, error) {
 	if den < 1e-12 {
 		return 0, ErrNoSupport
 	}
-	m1, err := m.integrateDR(lb, ub, 1)
-	if err != nil {
-		return 0, err
-	}
-	m2, err := m.integrateDR(lb, ub, 2)
-	if err != nil {
-		return 0, err
-	}
-	ex := m1 / den
-	v := m2/den - ex*ex
+	ex := m.integrateDR(lb, ub, 1) / den
+	v := m.integrateDR(lb, ub, 2)/den - ex*ex
 	if v < 0 {
 		v = 0
 	}
@@ -172,28 +136,10 @@ func (m *UniModel) StdDevY(lb, ub float64) (float64, error) {
 
 // momentX computes ∫_lb^ub x^power·D dx — the density-moment integrand
 // shared by the x-forms of AVG, VARIANCE and STDDEV and by Partial's yIsX
-// moments. Bounds must already be clipped to the support. On the grid path
-// it is two interpolated lookups; otherwise one adaptive quadrature run.
-func (m *UniModel) momentX(power int, lb, ub float64) (float64, error) {
-	if g := m.Grid; g.Valid() {
-		gridHits.Add(1)
-		return g.MomentX(power, lb, ub), nil
-	}
-	gridFallbacks.Add(1)
-	res, err := quadrature.Integrate(func(x float64) float64 {
-		v := m.D.Density(x)
-		for i := 0; i < power; i++ {
-			v *= x
-		}
-		return v
-	}, lb, ub, quadOpts)
-	if err != nil {
-		if err != quadrature.ErrMaxIter {
-			return 0, err
-		}
-		quadNonconverged.Add(1)
-	}
-	return res.Value, nil
+// moments — with two interpolated grid lookups.
+func (m *UniModel) momentX(power int, lb, ub float64) float64 {
+	gridHits.Add(1)
+	return m.Grid.MomentX(power, lb, ub)
 }
 
 // VarianceX evaluates Eq. 2, the density-based VARIANCE(x) over the
@@ -204,16 +150,8 @@ func (m *UniModel) VarianceX(lb, ub float64) (float64, error) {
 	if den < 1e-12 {
 		return 0, ErrNoSupport
 	}
-	m1, err := m.momentX(1, lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	m2, err := m.momentX(2, lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	ex := m1 / den
-	v := m2/den - ex*ex
+	ex := m.momentX(1, lb, ub) / den
+	v := m.momentX(2, lb, ub)/den - ex*ex
 	if v < 0 {
 		v = 0
 	}
@@ -229,80 +167,34 @@ func (m *UniModel) StdDevX(lb, ub float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// Percentile solves F(x) = p (Eq. 4): inverting the grid's cumulative-
-// density table when the model carries one, else by bisection over the
-// closed-form CDF. When a range predicate accompanies the percentile, the
+// Percentile solves F(x) = p (Eq. 4) by inverting the grid's cumulative-
+// density table. When a range predicate accompanies the percentile, the
 // quantile is taken conditionally within [lb, ub].
 func (m *UniModel) Percentile(p, lb, ub float64) (float64, error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("core: percentile point %v outside [0, 1]", p)
 	}
-	if g := m.Grid; g.Valid() {
-		if lb == math.Inf(-1) && ub == math.Inf(1) {
-			gridHits.Add(1)
-			return g.InvertCDF(p), nil
-		}
-		lbc, ubc := m.clip(lb, ub)
-		den := g.Mass(lbc, ubc)
-		if den < 1e-12 {
-			return 0, ErrNoSupport
-		}
-		gridHits.Add(1)
-		x := g.InvertCDF(g.CDF(lbc) + p*den)
-		return math.Min(math.Max(x, lbc), ubc), nil
-	}
-	gridFallbacks.Add(1)
-	slo, shi := m.D.Support()
+	g := m.Grid
 	if lb == math.Inf(-1) && ub == math.Inf(1) {
-		return m.D.Quantile(p), nil
+		gridHits.Add(1)
+		return g.InvertCDF(p), nil
 	}
-	lb, ub = m.clip(lb, ub)
-	den := m.D.Mass(lb, ub)
+	lbc, ubc := m.clip(lb, ub)
+	den := g.Mass(lbc, ubc)
 	if den < 1e-12 {
 		return 0, ErrNoSupport
 	}
-	flb := m.D.CDF(lb)
-	target := flb + p*den
-	root, err := quadrature.Bisect(func(x float64) float64 {
-		return m.D.CDF(x) - target
-	}, math.Max(lb, slo), math.Min(ub, shi), 1e-10, 200)
-	if err != nil {
-		return 0, err
-	}
-	return root, nil
+	gridHits.Add(1)
+	x := g.InvertCDF(g.CDF(lbc) + p*den)
+	return math.Min(math.Max(x, lbc), ubc), nil
 }
 
-// integrateDR computes ∫ D(x)·R(x)^power dx over [lb, ub]. The ensemble's
-// per-range constituent selection is hoisted out of the integrand so one
-// model answers the whole integral consistently; the grid path honors the
-// same selection by keying its per-constituent tables on the index the
-// ensemble resolves for this range.
-func (m *UniModel) integrateDR(lb, ub float64, power int) (float64, error) {
-	if g := m.Grid; g.Valid() {
-		if c := m.R.IndexForRange(lb, ub); c < g.Constituents() {
-			gridHits.Add(1)
-			return g.MomentDR(c, power, lb, ub), nil
-		}
-	}
-	gridFallbacks.Add(1)
-	reg := m.R.ForRange(lb, ub)
-	var f func(float64) float64
-	if power == 1 {
-		f = func(x float64) float64 { return m.D.Density(x) * reg.Predict1(x) }
-	} else {
-		f = func(x float64) float64 {
-			r := reg.Predict1(x)
-			return m.D.Density(x) * r * r
-		}
-	}
-	res, err := quadrature.Integrate(f, lb, ub, quadOpts)
-	if err != nil {
-		if err != quadrature.ErrMaxIter {
-			return 0, err
-		}
-		quadNonconverged.Add(1)
-	}
-	return res.Value, nil
+// integrateDR computes ∫ D(x)·R(x)^power dx over [lb, ub] from the grid's
+// tables for the ensemble constituent selected for this range, so one
+// constituent answers the whole integral consistently.
+func (m *UniModel) integrateDR(lb, ub float64, power int) float64 {
+	gridHits.Add(1)
+	return m.Grid.MomentDR(m.R.IndexForRange(lb, ub), power, lb, ub)
 }
 
 // Partial computes this model's shard-mergeable partial aggregates over
@@ -314,36 +206,28 @@ func (m *UniModel) integrateDR(lb, ub float64, power int) (float64, error) {
 // the aggregated column is the predicate column itself. A range with no
 // density support returns a zero Partial with Support false, not an error:
 // one empty shard must not fail a merge its siblings can answer.
-func (m *UniModel) Partial(lb, ub float64, yIsX, needSum, needSq bool) (shard.Partial, error) {
+func (m *UniModel) Partial(lb, ub float64, yIsX, needSum, needSq bool) shard.Partial {
 	var p shard.Partial
-	mass := m.D.Mass(lb, ub)
+	mass := m.mass(lb, ub)
 	if mass < 1e-12 {
-		return p, nil
+		return p
 	}
 	p.Support = true
 	p.Count = m.N * mass
 	lbc, ubc := m.clip(lb, ub)
-	moment := func(power int) (float64, error) {
+	moment := func(power int) float64 {
 		if yIsX {
 			return m.momentX(power, lbc, ubc)
 		}
 		return m.integrateDR(lbc, ubc, power)
 	}
 	if needSum {
-		m1, err := moment(1)
-		if err != nil {
-			return p, err
-		}
-		p.Sum = m.N * m1
+		p.Sum = m.N * moment(1)
 	}
 	if needSq {
-		m2, err := moment(2)
-		if err != nil {
-			return p, err
-		}
-		p.SumSq = m.N * m2
+		p.SumSq = m.N * moment(2)
 	}
-	return p, nil
+	return p
 }
 
 // Aggregate dispatches an aggregate-function evaluation on this model.
@@ -354,7 +238,7 @@ func (m *UniModel) Aggregate(af exact.AggFunc, lb, ub float64, yIsX bool, p floa
 	case exact.Count:
 		return m.Count(lb, ub), nil
 	case exact.Sum:
-		return m.Sum(lb, ub)
+		return m.Sum(lb, ub), nil
 	case exact.Avg:
 		if yIsX {
 			// AVG over the predicate column: E[x] under D restricted.
@@ -363,11 +247,7 @@ func (m *UniModel) Aggregate(af exact.AggFunc, lb, ub float64, yIsX bool, p floa
 			if den < 1e-12 {
 				return 0, ErrNoSupport
 			}
-			m1, err := m.momentX(1, lbc, ubc)
-			if err != nil {
-				return 0, err
-			}
-			return m1 / den, nil
+			return m.momentX(1, lbc, ubc) / den, nil
 		}
 		return m.Avg(lb, ub)
 	case exact.Variance:

@@ -308,38 +308,37 @@ func (ms *ModelSet) SizeBytes() int {
 }
 
 // EvalKernel reports which integration kernel answers this set's
-// model-path integrals: "grid" when every trained pair carries a validated
-// prefix-integral grid, "quad" when none does (including multivariate
-// sets, which always integrate adaptively), "mixed" otherwise. It is the
-// kernel tag EXPLAIN renders on ModelEval and ShardMerge operators.
+// model-path integrals: "grid" for trained model pairs, which always carry
+// a validated prefix-integral grid, and "quad" otherwise — multivariate
+// sets, which integrate with a tensor Gauss rule, and sets with no trained
+// pair. It is the kernel tag EXPLAIN renders on ModelEval and ShardMerge
+// operators.
 func (ms *ModelSet) EvalKernel() string {
-	if ms.Sketch != nil {
-		return "sketch"
-	}
-	total, with := 0, 0
-	count := func(m *UniModel) {
-		total++
-		if m.HasGrid() {
-			with++
-		}
-	}
-	if ms.Uni != nil {
-		count(ms.Uni)
-	}
-	for _, m := range ms.Groups {
-		count(m)
-	}
-	for _, m := range ms.Nominal {
-		count(m)
-	}
 	switch {
-	case total == 0 || with == 0:
-		return "quad"
-	case with == total:
+	case ms.Sketch != nil:
+		return "sketch"
+	case ms.Uni != nil || len(ms.Groups) > 0 || len(ms.Nominal) > 0:
 		return "grid"
 	default:
-		return "mixed"
+		return "quad"
 	}
+}
+
+// CheckGrids reports an error naming the set's key when any of its trained
+// model pairs lacks a valid evaluation grid — a set decoded from a catalog
+// saved before grids existed, which no kernel could serve.
+func (ms *ModelSet) CheckGrids() error {
+	ok := ms.Uni == nil || ms.Uni.Grid.Valid()
+	for _, m := range ms.Groups {
+		ok = ok && m.Grid.Valid()
+	}
+	for _, m := range ms.Nominal {
+		ok = ok && m.Grid.Valid()
+	}
+	if !ok {
+		return fmt.Errorf("core: model %s has no evaluation grid; retrain it with CREATE MODEL", ms.Key())
+	}
+	return nil
 }
 
 // NumModels counts the trained models in the set (per-group and

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"dbest/internal/exact"
@@ -52,8 +53,16 @@ func TrainNominalContext(ctx context.Context, tb *table.Table, xcol, ycol, nomin
 		v      string
 		xs, ys []float64
 	}
+	// Values are visited in sorted order: each value's model seed is
+	// Seed + its position, so a fixed Seed must give a fixed order.
+	values := make([]string, 0, len(groups))
+	for v := range groups {
+		values = append(values, v)
+	}
+	sort.Strings(values)
 	var vss []vsample
-	for v, idx := range groups {
+	for _, v := range values {
+		idx := groups[v]
 		xs, ys, err := gatherPair(tb, xcol, ycol, idx)
 		if err != nil {
 			return nil, err

@@ -104,3 +104,34 @@ func TestNominalCountScalesWithScale(t *testing.T) {
 		t.Fatalf("scaled nominal COUNT = %v, want ≈ 500000", ans.Value)
 	}
 }
+
+// TestTrainNominalDeterministic trains one nominal config repeatedly: a
+// fixed Seed must give the same models, whatever order the per-value
+// sample map iterates in.
+func TestTrainNominalDeterministic(t *testing.T) {
+	tb := nominalTable()
+	type fingerprint struct {
+		size   int
+		bounds [2][2]float64
+	}
+	var first fingerprint
+	for run := 0; run < 4; run++ {
+		ms, err := TrainNominal(tb, "x", "y", "ch", &TrainConfig{SampleSize: 2000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := fingerprint{size: ms.SizeBytes()}
+		for i, ch := range []string{"a", "b"} {
+			ans, err := ms.EvaluateNominal(exact.Avg, ch, 40, 60, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp.bounds[i] = ans.CI
+		}
+		if run == 0 {
+			first = fp
+		} else if fp != first {
+			t.Fatalf("run %d trained %+v, run 0 trained %+v", run, fp, first)
+		}
+	}
+}

@@ -51,10 +51,8 @@ type TrainConfig struct {
 	Boost *boost.Options
 	// Workers bounds parallel per-group training (0 = GOMAXPROCS).
 	Workers int
-	// GridKnots sizes the train-time prefix-integral evaluation grid:
-	// 0 builds the default (DefaultGridKnots) grid, a positive value that
-	// many knots, and a negative value disables grid building so every
-	// integral runs through adaptive quadrature (the A/B baseline).
+	// GridKnots is the base knot budget of the train-time prefix-integral
+	// evaluation grid; <= 0 uses DefaultGridKnots.
 	GridKnots int
 }
 
@@ -215,20 +213,20 @@ func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float
 		}
 	}
 	m := &UniModel{XCol: xCol, YCol: yCol, N: n, D: d, R: r, XLo: lo, XHi: hi}
-	if cfg.GridKnots >= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		knots := cfg.GridKnots
-		if knots == 0 {
-			knots = DefaultGridKnots
-		}
-		// buildGrid returns nil when validation rejects the tables; the
-		// model then keeps answering through quadrature. Every trainPair
-		// caller — plain, grouped, nominal, shard members, and the
-		// refresher's spec re-execution — flows through here, so grids are
-		// rebuilt on every retrain without extra plumbing.
-		m.Grid = buildGrid(m, knots, cfg.Workers)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	knots := cfg.GridKnots
+	if knots <= 0 {
+		knots = DefaultGridKnots
+	}
+	// The grid is the model's only serving kernel, so a grid that cannot
+	// be built fails training. Every trainPair caller — plain, grouped,
+	// nominal, shard members, and the refresher's spec re-execution — flows
+	// through here, so grids are rebuilt on every retrain without extra
+	// plumbing.
+	if m.Grid, err = buildGrid(m, knots, cfg.Workers); err != nil {
+		return nil, err
 	}
 	// The error predictor is fitted here, while the training sample is
 	// still in hand (it is discarded after training, §3) — like the grid,

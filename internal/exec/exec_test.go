@@ -8,6 +8,7 @@ import (
 
 	"dbest/internal/core"
 	"dbest/internal/exact"
+	"dbest/internal/shard"
 	"dbest/internal/sqlparse"
 	"dbest/internal/table"
 )
@@ -166,6 +167,47 @@ func TestExactPlanJoinRender(t *testing.T) {
 	for _, want := range []string{"JoinEval on a.k = b.k", "TableScan a", "TableScan b"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("tree missing %q:\n%s", want, tree)
+		}
+	}
+}
+
+// TestShardMergePercentileMatchesClosedForm is the differential check for
+// the grid mass behind sharded PERCENTILE: over random spans and points on
+// a 4-shard ensemble, the merged quantile must sit where the closed-form
+// pooled CDF Σᵢ Nᵢ·Dᵢ.Mass(lb, x) reaches the same mass as at the
+// closed-form quantile, within 1e-8 relative to the selected rows.
+func TestShardMergePercentileMatchesClosedForm(t *testing.T) {
+	const bound = 1e-8
+	tb := linearTable(t, 20000)
+	sets, err := core.TrainSharded(tb, "x", "y", 4, &core.TrainConfig{SampleSize: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	massLE := func(lb, x float64) float64 {
+		total := 0.0
+		for _, ms := range sets {
+			total += ms.Uni.N * ms.Uni.D.Mass(lb, x)
+		}
+		return total
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		lb := rng.Float64() * 18000
+		ub := lb + 500 + rng.Float64()*(19999-lb)
+		p := rng.Float64()
+		op := NewShardMerge("PERCENTILE(x)", exact.Percentile, sets, lb, ub, true, p)
+		got, err := op.Eval(&Env{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := massLE(lb, ub)
+		want, ok := shard.Quantile(p, lb, ub, func(x float64) float64 { return massLE(lb, x) })
+		if !ok {
+			t.Fatalf("[%g,%g]: closed-form quantile undefined", lb, ub)
+		}
+		if d := math.Abs(massLE(lb, got.Value)-massLE(lb, want)) / sel; d > bound {
+			t.Errorf("PERCENTILE(%.3f) [%g,%g] = %.10g, closed form %.10g (mass differs by %.3g of the selection)",
+				p, lb, ub, got.Value, want, d)
 		}
 	}
 }

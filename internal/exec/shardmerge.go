@@ -41,7 +41,7 @@ func (s *ShardMerge) Operator() string { return "ShardMerge" }
 func (s *ShardMerge) Detail() string {
 	return fmt.Sprintf("%s key=%s shards=%d/%d range=%s kernel=%s", s.AggName, s.Sets[0].BaseKey(),
 		len(s.overlapping(s.Lb, s.Ub)), len(s.Sets), rangeString([]float64{s.Lb}, []float64{s.Ub}),
-		s.kernel()) + boundsTag(s.worstRelErr(s.Lb, s.Ub, s.overlapping(s.Lb, s.Ub)))
+		s.Sets[0].EvalKernel()) + boundsTag(s.worstRelErr(s.Lb, s.Ub, s.overlapping(s.Lb, s.Ub)))
 }
 
 // worstRelErr is the largest overlapping shard's predicted relative error —
@@ -60,19 +60,6 @@ func (s *ShardMerge) worstRelErr(lb, ub float64, idx []int) float64 {
 		}
 	}
 	return worst
-}
-
-// kernel summarizes the evaluation kernel across the ensemble: "grid" or
-// "quad" when every shard agrees, "mixed" otherwise (e.g. one shard's grid
-// failed validation and fell back).
-func (s *ShardMerge) kernel() string {
-	k := s.Sets[0].EvalKernel()
-	for _, ms := range s.Sets[1:] {
-		if ms.EvalKernel() != k {
-			return "mixed"
-		}
-	}
-	return k
 }
 
 func (s *ShardMerge) Children() []Node {
@@ -111,15 +98,9 @@ func (s *ShardMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
 	needSum := s.AF != exact.Count
 	needSq := s.AF == exact.Variance || s.AF == exact.StdDev
 	partials := make([]shard.Partial, len(idx))
-	errs := make([]error, len(idx))
 	parallel.ForEach(len(idx), env.Workers, func(k int) {
-		partials[k], errs[k] = s.Sets[idx[k]].Uni.Partial(lb, ub, s.YIsX, needSum, needSq)
+		partials[k] = s.Sets[idx[k]].Uni.Partial(lb, ub, s.YIsX, needSum, needSq)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return AggregateResult{}, err
-		}
-	}
 	v, ok := mergePartials(s.AF, partials)
 	if !ok {
 		return AggregateResult{}, wrapEmptyRegion(s.AggName, core.ErrNoSupport)
@@ -244,8 +225,7 @@ func (s *ShardMerge) percentile(lb, ub float64, idx []int) (float64, error) {
 	massLE := func(x float64) float64 {
 		t := 0.0
 		for _, k := range idx {
-			m := s.Sets[k].Uni
-			t += m.N * m.D.Mass(lb, x)
+			t += s.Sets[k].Uni.Count(lb, x)
 		}
 		return t
 	}

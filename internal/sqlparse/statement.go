@@ -13,7 +13,7 @@ import (
 //	CREATE MODEL <name> ON <table> ( x1 [, x2]* ; y )
 //	    [JOIN <table2> ON lk = rk [FRACTION num / denom]]
 //	    [GROUP BY col] [NOMINAL BY col]
-//	    [SHARDS k] [SAMPLE n] [SEED s] [GRID knots | GRID OFF]
+//	    [SHARDS k] [SAMPLE n] [SEED s] [GRID knots]
 //	CREATE SKETCH <name> ON <table> ( x )
 //	    [TYPE HLL | TOPK] [PRECISION p] [K k]
 //	DROP MODEL <name>        (DROP SKETCH is accepted as an alias)
@@ -43,7 +43,7 @@ type CreateModelStmt struct {
 	Seed      int64
 	HasSeed   bool
 	// Grid is the evaluation-grid base knot budget: 0 = not specified
-	// (engine default), positive = explicit budget, -1 = GRID OFF.
+	// (engine default), positive = explicit budget.
 	Grid int
 }
 
@@ -293,10 +293,6 @@ func (p *parser) parseModelClauses(cm *CreateModelStmt) error {
 				return p.errf("duplicate GRID clause")
 			}
 			p.next()
-			if p.acceptWord("OFF") {
-				cm.Grid = -1
-				continue
-			}
 			k, err := p.expectPosInt("GRID")
 			if err != nil {
 				return err

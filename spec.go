@@ -19,8 +19,7 @@ import (
 // Declarative model definitions: a ModelSpec is the first-class description
 // of one trained model pair (or ensemble) — what it is trained over, which
 // columns it covers, and how it is sampled — and Engine.CreateModel is the
-// single entry point that executes one. The ten legacy Train* methods are
-// thin wrappers that assemble a spec and call CreateModel.
+// single entry point that executes one.
 //
 // Because a spec is plain data (unlike the opaque retrain closures it
 // replaces), it is persisted alongside the models in the catalog: a catalog
@@ -32,7 +31,7 @@ import (
 //
 //	CREATE MODEL <name> ON <tbl>(x [, x2]; y)
 //	    [JOIN <tbl2> ON lk = rk [FRACTION num/denom]]
-//	    [GROUP BY c] [NOMINAL BY c] [SHARDS k] [SAMPLE n] [SEED s] [GRID knots | GRID OFF]
+//	    [GROUP BY c] [NOMINAL BY c] [SHARDS k] [SAMPLE n] [SEED s] [GRID knots]
 //	DROP MODEL <name>
 //	SHOW MODELS
 //
@@ -125,10 +124,8 @@ type ModelSpec struct {
 	// or a single constituent "gboost", "xgboost", "plr".
 	Regressor string `json:"regressor,omitempty"`
 	// GridKnots is the base knot budget of the train-time evaluation grid
-	// that answers range aggregates in constant time (SQL: GRID <knots> |
-	// GRID OFF). 0 uses the default budget, a positive value sets it, and a
-	// negative value disables grids so every integral goes through adaptive
-	// quadrature.
+	// that answers range aggregates in constant time (SQL: GRID <knots>).
+	// 0 uses the default budget.
 	GridKnots int `json:"grid_knots,omitempty"`
 }
 
@@ -138,9 +135,9 @@ var regressorFamilies = map[string]bool{
 	"": true, "ensemble": true, "gboost": true, "xgboost": true, "plr": true,
 }
 
-// Validate centralizes every argument check the legacy Train* entry points
-// scattered: a spec that validates is structurally executable (training can
-// still fail on data conditions — unknown columns, empty tables).
+// Validate centralizes every argument check of a model definition: a spec
+// that validates is structurally executable (training can still fail on
+// data conditions — unknown columns, empty tables).
 func (s *ModelSpec) Validate() error {
 	if s.Table == "" {
 		return errors.New("dbest: model spec requires a table")
@@ -212,6 +209,9 @@ func (s *ModelSpec) Validate() error {
 	if s.Scale < 0 {
 		return fmt.Errorf("dbest: model spec scale %g is negative", s.Scale)
 	}
+	if s.GridKnots < 0 {
+		return fmt.Errorf("dbest: model spec grid knot budget %d is negative", s.GridKnots)
+	}
 	if !regressorFamilies[s.Regressor] {
 		return fmt.Errorf("dbest: unknown regressor %q", s.Regressor)
 	}
@@ -271,23 +271,6 @@ func (s *ModelSpec) config() *core.TrainConfig {
 	}
 }
 
-// trainOptions projects the spec back onto the legacy options struct — the
-// shape trackModel consumes for reservoir capacity and seed.
-func (s *ModelSpec) trainOptions() *TrainOptions {
-	return &TrainOptions{
-		SampleSize:    s.SampleSize,
-		GroupBy:       s.GroupBy,
-		Scale:         s.Scale,
-		Seed:          s.Seed,
-		MinGroupModel: s.MinGroupModel,
-		Workers:       s.Workers,
-		EnsemblePLR:   s.EnsemblePLR,
-		KDEBins:       s.KDEBins,
-		Regressor:     s.Regressor,
-		GridKnots:     s.GridKnots,
-	}
-}
-
 // encode serializes the spec for catalog persistence. A ModelSpec is plain
 // data, so the marshal cannot fail.
 func (s *ModelSpec) encode() []byte {
@@ -311,50 +294,17 @@ func decodeSpec(b []byte) (*ModelSpec, error) {
 	return &s, nil
 }
 
-// specFor assembles the legacy Train* arguments into a ModelSpec — the
-// shared constructor behind the ten wrapper methods.
-func specFor(tbl string, xcols []string, ycol string, opts *TrainOptions) *ModelSpec {
-	s := &ModelSpec{Table: tbl, XCols: append([]string(nil), xcols...), YCol: ycol}
-	if opts != nil {
-		s.GroupBy = opts.GroupBy
-		s.SampleSize = opts.SampleSize
-		s.Seed = opts.Seed
-		s.Scale = opts.Scale
-		s.MinGroupModel = opts.MinGroupModel
-		s.Workers = opts.Workers
-		s.EnsemblePLR = opts.EnsemblePLR
-		s.KDEBins = opts.KDEBins
-		s.Regressor = opts.Regressor
-		s.GridKnots = opts.GridKnots
+// checkLoadedSpec vets the spec persisted with a model set read from a
+// catalog file: it must decode and validate, like a spec CreateModel runs.
+func checkLoadedSpec(ms *core.ModelSet) error {
+	spec, err := decodeSpec(ms.Spec)
+	if err == nil && spec != nil {
+		err = spec.Validate()
 	}
-	return s
-}
-
-// withJoin attaches a full-precompute join source.
-func (s *ModelSpec) withJoin(right, leftKey, rightKey string) *ModelSpec {
-	s.Join = &JoinSpec{Table: right, LeftKey: leftKey, RightKey: rightKey}
-	return s
-}
-
-// withSampledJoin attaches a hash-sampled join source; the keep ratio is
-// validated by Validate even when zero, preserving the legacy
-// TrainJoinSampled contract that a 0/0 ratio is rejected.
-func (s *ModelSpec) withSampledJoin(right, leftKey, rightKey string, num, denom uint64) *ModelSpec {
-	s.Join = &JoinSpec{Table: right, LeftKey: leftKey, RightKey: rightKey,
-		Sampled: true, SampleNum: num, SampleDenom: denom}
-	return s
-}
-
-// withNominal attaches a nominal-categorical split column.
-func (s *ModelSpec) withNominal(nominalBy string) *ModelSpec {
-	s.NominalBy = nominalBy
-	return s
-}
-
-// withShards attaches a range-shard count.
-func (s *ModelSpec) withShards(shards int) *ModelSpec {
-	s.Shards = shards
-	return s
+	if err != nil {
+		return fmt.Errorf("dbest: model %s: %w", ms.Key(), err)
+	}
+	return nil
 }
 
 // Summary renders the spec in the CREATE MODEL clause syntax (minus the
@@ -398,11 +348,8 @@ func (s *ModelSpec) Summary() string {
 	if s.Seed != 0 {
 		fmt.Fprintf(&b, " SEED %d", s.Seed)
 	}
-	switch {
-	case s.GridKnots > 0:
+	if s.GridKnots > 0 {
 		fmt.Fprintf(&b, " GRID %d", s.GridKnots)
-	case s.GridKnots < 0:
-		b.WriteString(" GRID OFF")
 	}
 	return b.String()
 }
@@ -423,8 +370,7 @@ func (e *Engine) specRetrain(spec *ModelSpec) ingest.RetrainFunc {
 // trains the models the spec describes, registers them in the catalog with
 // the spec persisted alongside (SaveModels round-trips it), registers
 // staleness tracking whose retrain re-executes the spec, and returns build
-// statistics. It subsumes all ten legacy Train* methods, which remain as
-// thin wrappers. A canceled ctx aborts the build at the next model-fit
+// statistics. A canceled ctx aborts the build at the next model-fit
 // boundary without touching the catalog.
 func (e *Engine) CreateModel(ctx context.Context, spec *ModelSpec) (*TrainInfo, error) {
 	if spec == nil {
@@ -461,7 +407,7 @@ func (e *Engine) createPlain(ctx context.Context, spec *ModelSpec) (*TrainInfo, 
 	}
 	ms.Spec = spec.encode()
 	e.catalog.Put(ms)
-	e.trackModel(ms, []string{spec.Table}, tb.NumRows(), spec.trainOptions(), e.specRetrain(spec))
+	e.trackModel(ms, spec, tb.NumRows())
 	return trainInfo(ms), nil
 }
 
@@ -478,7 +424,7 @@ func (e *Engine) createNominal(ctx context.Context, spec *ModelSpec) (*TrainInfo
 	}
 	ms.Spec = spec.encode()
 	e.catalog.Put(ms)
-	e.trackModel(ms, []string{spec.Table}, tb.NumRows(), spec.trainOptions(), e.specRetrain(spec))
+	e.trackModel(ms, spec, tb.NumRows())
 	return trainInfo(ms), nil
 }
 
@@ -527,8 +473,7 @@ func (e *Engine) createJoin(ctx context.Context, spec *ModelSpec) (*TrainInfo, e
 	ms.Stats.SampleTime += prepTime
 	ms.Spec = spec.encode()
 	e.catalog.Put(ms)
-	e.trackModel(ms, []string{spec.Table, j.Table}, lt.NumRows()+rt.NumRows(),
-		spec.trainOptions(), e.specRetrain(spec))
+	e.trackModel(ms, spec, lt.NumRows()+rt.NumRows())
 	return trainInfo(ms), nil
 }
 
@@ -795,5 +740,5 @@ func (e *Engine) trackSpecSet(ms *core.ModelSet, spec *ModelSpec) {
 			}
 		}
 	}
-	e.trackModel(ms, spec.watchTables(), baseRows, spec.trainOptions(), e.specRetrain(spec))
+	e.trackModel(ms, spec, baseRows)
 }

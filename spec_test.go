@@ -79,8 +79,8 @@ func TestModelSpecValidate(t *testing.T) {
 	}
 }
 
-// CreateModel must produce the same catalog keys as the legacy wrappers it
-// subsumes — the wrappers are pure sugar.
+// CreateModel must produce the same catalog keys as the CREATE MODEL
+// statement — the SQL form is the same spec.
 func TestCreateModelMatchesLegacyKeys(t *testing.T) {
 	build := func() (*dbest.Engine, *dbest.Table) {
 		tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 4000, Seed: 1})
@@ -90,10 +90,8 @@ func TestCreateModelMatchesLegacyKeys(t *testing.T) {
 		}
 		return eng, tb
 	}
-	opts := &dbest.TrainOptions{SampleSize: 1000, Seed: 1}
-
-	legacy, _ := build()
-	if _, err := legacy.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts); err != nil {
+	stmt, _ := build()
+	if _, err := stmt.Exec("CREATE MODEL revenue ON store_sales(ss_sold_date_sk; ss_sales_price) SAMPLE 1000 SEED 1"); err != nil {
 		t.Fatal(err)
 	}
 	viaSpec, _ := build()
@@ -105,15 +103,15 @@ func TestCreateModelMatchesLegacyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk, sk := legacy.ModelKeys(), viaSpec.ModelKeys()
+	lk, sk := stmt.ModelKeys(), viaSpec.ModelKeys()
 	if len(lk) != 1 || len(sk) != 1 || lk[0] != sk[0] {
-		t.Fatalf("keys diverge: legacy %v vs spec %v", lk, sk)
+		t.Fatalf("keys diverge: statement %v vs spec %v", lk, sk)
 	}
 	if info.Key != sk[0] {
 		t.Fatalf("TrainInfo.Key = %q, want %q", info.Key, sk[0])
 	}
 	// Both register staleness tracking.
-	if len(legacy.ModelStaleness()) != 1 || len(viaSpec.ModelStaleness()) != 1 {
+	if len(stmt.ModelStaleness()) != 1 || len(viaSpec.ModelStaleness()) != 1 {
 		t.Fatal("both paths must register staleness tracking")
 	}
 }
