@@ -7,7 +7,7 @@ import (
 	"dbest/internal/core"
 	"dbest/internal/exec"
 	"dbest/internal/parallel"
-	"dbest/internal/sqlparse"
+	"dbest/internal/sketch"
 )
 
 // BatchResult is one query's outcome in a batched execution. Errors are
@@ -26,11 +26,13 @@ type BatchResult struct {
 // range predicate.
 type Span = exec.Span
 
-// QueryBatch answers many SQL queries in one call. Each distinct normalized
-// query shape is parsed, planned and executed exactly once — even with the
-// plan cache disabled — with the distinct shapes fanning out over the
-// engine's worker budget; duplicate instances then share that shape's
-// answer, so a batch of N same-shape queries costs one execution, not N.
+// QueryBatch answers many SQL queries in one call. Each distinct SQL text
+// is looked up in the plan cache once, the same way Query looks it up, and
+// each distinct normalized query shape is parsed, planned and executed
+// exactly once — even with the plan cache disabled — with the distinct
+// shapes fanning out over the engine's worker budget; duplicate instances
+// then share that shape's answer, so a batch of N same-shape queries costs
+// one execution, not N.
 // The whole batch binds one engine snapshot: every shape sees the same
 // catalog generation and the same table versions, so a batch is a
 // consistent point-in-time read even while trains and appends land
@@ -49,27 +51,29 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 		memo    bool          // res is the cache's canonical copy; every instance clones
 		served  bool
 	}
-	keys := make([]string, len(sqls))
-	plans := make(map[string]*planned, len(sqls))
-	order := make([]*planned, 0, len(sqls)) // distinct shapes, first-seen order
+	shapes := make([]*planned, len(sqls))          // each input's shape
+	byText := make(map[string]*planned, len(sqls)) // distinct texts
+	byKey := make(map[string]*planned, len(sqls))  // distinct shapes
+	order := make([]*planned, 0, len(sqls))        // distinct shapes, first-seen order
+	gen := snap.cat.Generation()
 	for i, sql := range sqls {
 		out[i].SQL = sql
-		k := sqlparse.Normalize(sql)
-		keys[i] = k
-		if _, ok := plans[k]; !ok {
-			pl := &planned{}
-			if e.plans.enabled() {
-				pl.p, pl.ent, pl.err = e.prepareSnap(k, sql, snap)
-			} else {
-				var q *sqlparse.Query
-				q, pl.err = sqlparse.Parse(sql)
-				if pl.err == nil {
-					pl.p, pl.err = e.planSnap(q, snap)
+		pl, ok := byText[sql]
+		if !ok {
+			key, ent, lx := e.plans.lookup(sql, gen)
+			if pl, ok = byKey[key]; !ok {
+				pl = &planned{}
+				if ent != nil {
+					pl.p, pl.ent = ent.p, ent
+				} else {
+					pl.p, pl.ent, pl.err = e.planMiss(key, lx, snap)
 				}
+				byKey[key] = pl
+				order = append(order, pl)
 			}
-			plans[k] = pl
-			order = append(order, pl)
+			byText[sql] = pl
 		}
+		shapes[i] = pl
 	}
 	// Execute each distinct shape once, in parallel across shapes. Shapes
 	// whose result is already memoized for this generation skip execution
@@ -91,12 +95,7 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 			}
 		}
 		pl.res, pl.err = pl.p.runWith(snap)
-		if pl.err == nil && pl.ent != nil &&
-			pl.p.plan.Path != PathExact && pl.p.plan.Path != PathSketch && !pl.p.hasTol {
-			// Same memoization rule as serveNormalized: exact and sketch
-			// answers track the live tables, and tolerance-routed answers
-			// track the calibration rings, so only plain model-path results
-			// are deterministic per catalog generation.
+		if pl.err == nil && pl.ent != nil && pl.p.memoizable() {
 			pl.ent.res.CompareAndSwap(nil, pl.res)
 			pl.memo = true
 		}
@@ -106,7 +105,7 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 	// another (or the cache's memoized copy); only a non-memoized shape may
 	// hand its first instance the original.
 	for i := range sqls {
-		pl := plans[keys[i]]
+		pl := shapes[i]
 		if pl.err != nil {
 			out[i].Err = pl.err
 			continue
@@ -125,13 +124,18 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 }
 
 // cloneResult deep-copies a Result so batch duplicates do not alias the
-// original's aggregate and group slices.
+// original's aggregate, group and top-k slices. Nil slices stay nil, so a
+// plain model answer costs two allocations: the Result and its aggregates.
 func cloneResult(r *Result) *Result {
 	out := *r
 	out.Aggregates = append([]AggregateResult(nil), r.Aggregates...)
 	for i := range out.Aggregates {
-		if g := out.Aggregates[i].Groups; g != nil {
-			out.Aggregates[i].Groups = append([]core.GroupAnswer(nil), g...)
+		a := &out.Aggregates[i]
+		if a.Groups != nil {
+			a.Groups = append([]core.GroupAnswer(nil), a.Groups...)
+		}
+		if a.TopK != nil {
+			a.TopK = append([]sketch.Entry(nil), a.TopK...)
 		}
 	}
 	return &out

@@ -145,6 +145,35 @@ func TestQueryBatchErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestQueryBatchTopKDeepCopied: duplicate TOP k instances in one batch get
+// their own copies of the top-k entries, so mutating one answer cannot
+// corrupt another.
+func TestQueryBatchTopKDeepCopied(t *testing.T) {
+	eng, _ := newSketchEngine(t, 5000)
+	const sql = "SELECT TOP 2(ss_channel) FROM store_sales"
+	got := eng.QueryBatch([]string{sql, sql, "select top 2 ( ss_channel ) from store_sales"})
+	var tops [][]dbest.AggregateResult
+	for i, br := range got {
+		if br.Err != nil {
+			t.Fatalf("batch[%d]: %v", i, br.Err)
+		}
+		if len(br.Result.Aggregates[0].TopK) == 0 {
+			t.Fatalf("batch[%d]: empty TopK", i)
+		}
+		tops = append(tops, br.Result.Aggregates)
+	}
+	want := tops[0][0].TopK[0].Value
+	tops[0][0].TopK[0].Value = "mutated"
+	for i := 1; i < len(tops); i++ {
+		if &tops[i][0].TopK[0] == &tops[0][0].TopK[0] {
+			t.Fatalf("batch[%d] shares batch[0]'s TopK backing array", i)
+		}
+		if v := tops[i][0].TopK[0].Value; v != want {
+			t.Fatalf("batch[%d] TopK[0] = %q after mutating batch[0], want %q", i, v, want)
+		}
+	}
+}
+
 func TestQueryBatchEmpty(t *testing.T) {
 	eng := dbest.New(nil)
 	if got := eng.QueryBatch(nil); len(got) != 0 {

@@ -424,8 +424,10 @@ type Result struct {
 // Plans are cached by normalized SQL, so a repeated query shape skips the
 // parser and the catalog scan entirely; model-path shapes additionally
 // memoize their result per catalog generation — model answers are
-// deterministic until a retrain publishes a new generation — so a hot
-// cached shape costs one normalization and two atomic loads.
+// deterministic until a retrain publishes a new generation. The exact text
+// is looked up before any lexing (a respelling of a cached shape is aliased
+// to it on its second use), so a repeated text costs one map read, a few
+// atomic loads and a copy of the memoized result.
 func (e *Engine) Query(sql string) (*Result, error) {
 	t0 := time.Now()
 	var (
@@ -433,7 +435,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 		err error
 	)
 	if e.plans.enabled() {
-		res, err = e.serveNormalized(sqlparse.Normalize(sql), sql)
+		res, err = e.serveCached(sql)
 	} else {
 		res, err = e.serveUncached(sql)
 	}

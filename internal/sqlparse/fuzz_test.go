@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -180,6 +182,29 @@ func FuzzNormalize(f *testing.F) {
 		// unlexable input passes through verbatim.
 		if n != sql && strings.TrimSpace(n) != n {
 			t.Fatalf("Normalize left surrounding whitespace: %q -> %q", sql, n)
+		}
+	})
+}
+
+// FuzzLex: the single-lex entry point must agree with the two wrappers it
+// replaces on the plan-cache miss path — the same key as Normalize, and the
+// same query (or the same error) as Parse.
+func FuzzLex(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		lx := Lex(sql)
+		if n := Normalize(sql); lx.Key != n {
+			t.Fatalf("Lex key differs from Normalize:\n  input: %q\n  Lex: %q\n  Normalize: %q", sql, lx.Key, n)
+		}
+		got, gerr := lx.Parse()
+		want, werr := Parse(sql)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("Lex().Parse() error differs from Parse:\n  input: %q\n  Lex: %v\n  Parse: %v", sql, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lex().Parse() differs from Parse:\n  input: %q\n  Lex: %+v\n  Parse: %+v", sql, got, want)
 		}
 	})
 }

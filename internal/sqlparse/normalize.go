@@ -16,11 +16,39 @@ import (
 // stripping whitespace could turn an unlexable input into a lexable one
 // (e.g. a trailing form feed, which the lexer rejects but TrimSpace eats),
 // and the second application would then produce a different key.
-func Normalize(sql string) string {
+func Normalize(sql string) string { return Lex(sql).Key }
+
+// Lexed is one SQL text lexed once: its plan-cache key plus the tokens the
+// parser needs, so a plan-cache miss pays for a single lex, not one for the
+// key and another for the parse.
+type Lexed struct {
+	// Key is Normalize(sql): the canonical rendering, or the verbatim input
+	// when it does not lex.
+	Key  string
+	toks []token
+	err  error // the lex error, reported by Parse
+}
+
+// Lex lexes sql once and renders its plan-cache key. Lex(sql).Key equals
+// Normalize(sql), and Lex(sql).Parse() answers exactly as Parse(sql) does.
+func Lex(sql string) Lexed {
 	toks, err := lex(sql)
 	if err != nil {
-		return sql
+		return Lexed{Key: sql, err: err}
 	}
+	return Lexed{Key: render(sql, toks), toks: toks}
+}
+
+// Parse parses the lexed tokens as one supported SQL query.
+func (l Lexed) Parse() (*Query, error) {
+	if l.err != nil {
+		return nil, l.err
+	}
+	return parseTokens(l.toks)
+}
+
+// render writes the canonical form of sql's tokens (see Normalize).
+func render(sql string, toks []token) string {
 	var b strings.Builder
 	b.Grow(len(sql))
 	var prev *token // last emitted token; skipped semicolons are invisible

@@ -71,6 +71,11 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses one supported SQL query from lexed tokens.
+func parseTokens(toks []token) (*Query, error) {
 	p := &parser{toks: toks}
 	q, err := p.parseQuery()
 	if err != nil {

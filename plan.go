@@ -108,20 +108,26 @@ func (e *Engine) Prepare(sql string) (*PreparedQuery, error) {
 		}
 		return e.planSnap(q, snap)
 	}
-	p, _, err := e.prepareSnap(sqlparse.Normalize(sql), sql, snap)
+	p, _, err := e.prepareSnap(sql, snap)
 	return p, err
 }
 
-// prepareSnap resolves one normalized shape against the plan cache under
-// the given snapshot, planning (and caching) on a miss. It returns the
-// prepared query plus its cache entry (nil when the plan was not cached,
-// e.g. it raced a generation bump).
-func (e *Engine) prepareSnap(key, sql string, snap *engineSnap) (*PreparedQuery, *cacheEntry, error) {
-	gen := snap.cat.Generation()
-	if ent := e.plans.get(key, gen); ent != nil {
+// prepareSnap resolves sql against the plan cache under the given snapshot,
+// planning (and caching) on a miss. It returns the prepared query plus its
+// cache entry (nil when the plan was not cached, e.g. it raced a generation
+// bump).
+func (e *Engine) prepareSnap(sql string, snap *engineSnap) (*PreparedQuery, *cacheEntry, error) {
+	key, ent, lx := e.plans.lookup(sql, snap.cat.Generation())
+	if ent != nil {
 		return ent.p, ent, nil
 	}
-	q, err := sqlparse.Parse(sql)
+	return e.planMiss(key, lx, snap)
+}
+
+// planMiss plans a text the plan cache missed, parsing it from its one lex,
+// and caches the plan under the text's normalized key.
+func (e *Engine) planMiss(key string, lx sqlparse.Lexed, snap *engineSnap) (*PreparedQuery, *cacheEntry, error) {
+	q, err := lx.Parse()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,15 +138,15 @@ func (e *Engine) prepareSnap(key, sql string, snap *engineSnap) (*PreparedQuery,
 	return p, e.plans.put(key, p), nil
 }
 
-// serveNormalized answers one normalized query shape through the plan and
-// result caches: capture a snapshot, resolve the cached plan, and — on the
-// model paths, whose answers are deterministic for a fixed catalog
-// generation — serve the memoized result without executing anything. The
-// hot path takes no mutex: snapshot load, lock-free cache lookup, atomic
-// result load. The caller stamps Elapsed.
-func (e *Engine) serveNormalized(key, sql string) (*Result, error) {
+// serveCached answers sql through the plan and result caches: capture a
+// snapshot, resolve the cached plan, and — on the model paths, whose
+// answers are deterministic for a fixed catalog generation — serve the
+// memoized result without executing anything. The hot path takes no mutex
+// and does not lex: snapshot load, a lock-free lookup of the exact text,
+// atomic result load. The caller stamps Elapsed.
+func (e *Engine) serveCached(sql string) (*Result, error) {
 	snap := e.snap.Load()
-	p, ent, err := e.prepareSnap(key, sql, snap)
+	p, ent, err := e.prepareSnap(sql, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -153,18 +159,23 @@ func (e *Engine) serveNormalized(key, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ent != nil && p.plan.Path != PathExact && p.plan.Path != PathSketch && !p.hasTol {
-		// Memoize model-path results only: exact-path answers depend on the
-		// base tables, which grow via Append without a generation bump, and
-		// sketch answers absorb appended rows in place the same way.
-		// Model answers can change only when the catalog publishes a new
-		// generation — which drops this entry. Tolerance-routed answers are
-		// excluded too: the routing decision moves with the calibration
-		// rings and the live tables, not just the generation.
+	if ent != nil && p.memoizable() {
 		ent.res.CompareAndSwap(nil, res)
 		return cloneResult(res), nil
 	}
 	return res, nil
+}
+
+// memoizable reports whether the plan's answer may be memoized on its cache
+// entry. Only model-path results qualify: exact-path answers depend on the
+// base tables, which grow via Append without a generation bump, and sketch
+// answers absorb appended rows in place the same way. Model answers can
+// change only when the catalog publishes a new generation — which drops the
+// entry. Tolerance-routed answers are excluded too: the routing decision
+// moves with the calibration rings and the live tables, not just the
+// generation.
+func (p *PreparedQuery) memoizable() bool {
+	return p.plan.Path != PathExact && p.plan.Path != PathSketch && !p.hasTol
 }
 
 // planSnap resolves q against the snapshot's catalog, compiling every
@@ -512,14 +523,15 @@ const defaultPlanCacheSize = 1024
 // lock-free regardless.
 const planCacheShards = 32
 
-// cacheEntry is one cached shape: the prepared plan plus, on the model
-// paths, the memoized result of its first execution. Model answers are
-// deterministic for a fixed catalog generation (the models are immutable
-// and only a retrain — which bumps the generation and drops this entry —
-// changes them), so a repeated hot shape is served from res with no
-// execution at all. res stays nil for exact-path plans, whose answers
+// cacheEntry is one cached shape: its normalized key, the prepared plan
+// and, on the model paths, the memoized result of its first execution.
+// Model answers are deterministic for a fixed catalog generation (the
+// models are immutable and only a retrain — which bumps the generation and
+// drops this entry — changes them), so a repeated hot shape is served from
+// res with no execution at all. res stays nil for exact-path plans, whose answers
 // track the live tables.
 type cacheEntry struct {
+	key string // normalized SQL; raw-text aliases map here too
 	p   *PreparedQuery
 	res atomic.Pointer[Result]
 }
@@ -533,8 +545,13 @@ type cacheMap struct {
 
 // planCache maps normalized SQL to prepared queries (and memoized
 // model-path results). Lookups are lock-free: a generation check on an
-// atomic counter, one atomic shard-map load, one map read. Writers —
-// planning misses and generation wipes — serialize on a single mutex and
+// atomic counter, one atomic shard-map load, one map read. Raw-text aliases
+// share the same shard maps: a caller's exact SQL text, seen a second time
+// in a spelling other than the normalized one, maps to the same entry as
+// its normalized key, so a repeated text is found without lexing. Sharing
+// one key space is safe because Normalize is idempotent: a raw text equal
+// to some normalized key names that same shape. Writers — planning misses,
+// alias promotions and generation wipes — serialize on a single mutex and
 // publish copy-on-write shard maps; the first lookup that observes a new
 // catalog generation wipes every shard, which is how Train/LoadModels/
 // Remove invalidate every stale plan (and release the model sets those
@@ -552,8 +569,12 @@ type planCache struct {
 	resets    atomic.Uint64
 	wipes     atomic.Uint64
 
-	mu     sync.Mutex // serializes writers (put, generation advance)
+	mu     sync.Mutex // serializes writers (put, alias, generation advance)
 	shards [planCacheShards]atomic.Pointer[cacheMap]
+	// aliases counts raw-text alias keys across all shards, guarded by mu.
+	// They are not plans: Entries and the capacity reset ignore them, and
+	// they stop at max instead of resetting the cache.
+	aliases int
 }
 
 func newPlanCache(max int) *planCache {
@@ -575,27 +596,98 @@ func shardIndex(key string) uint32 {
 	return h % planCacheShards
 }
 
-// get returns the cached entry for key planned under exactly generation
-// gen, or nil. The hit path takes no mutex. A caller observing a newer
-// generation than the cache wipes it first (the one write on the read
-// path, taken once per catalog mutation); a caller with an older
-// generation than a cached entry simply misses.
-func (pc *planCache) get(key string, gen uint64) *cacheEntry {
+// lookup resolves one SQL text under generation gen — the one front door
+// of Query, Prepare and QueryBatch. It returns the text's normalized key
+// and either its cached entry (a hit) or, on a miss, the text lexed once
+// and ready to parse. The caller's exact text is looked up first, before
+// any lexing, so a repeated text costs one map read. Only a raw miss lexes;
+// if its normalized key then hits, the raw text is aliased to that entry
+// (promotion on the second sighting), so one-shot SQL never adds a key.
+// Each call records exactly one hit or one miss. With caching disabled it
+// only lexes.
+//
+// The hit path takes no mutex. A caller observing a newer generation than
+// the cache wipes it first (the one write on the read path, taken once per
+// catalog mutation); a caller with an older generation than a cached entry
+// simply misses.
+func (pc *planCache) lookup(sql string, gen uint64) (string, *cacheEntry, sqlparse.Lexed) {
+	if !pc.enabled() {
+		lx := sqlparse.Lex(sql)
+		return lx.Key, nil, lx
+	}
 	// Only a newer generation wipes: a reader that loaded an older
 	// generation before a concurrent Train committed must not destroy the
-	// plans already cached for the new one (the per-entry check below
+	// plans already cached for the new one (the per-entry check in find
 	// keeps it from being served a stale plan).
 	if gen > pc.gen.Load() {
 		pc.advance(gen)
 	}
-	m := pc.shards[shardIndex(key)].Load()
-	e := m.entries[key]
+	if e := pc.find(sql, gen); e != nil {
+		pc.hits.Add(1)
+		return e.key, e, sqlparse.Lexed{}
+	}
+	lx := sqlparse.Lex(sql)
+	if lx.Key != sql {
+		if e := pc.find(lx.Key, gen); e != nil {
+			pc.hits.Add(1)
+			pc.alias(sql, e)
+			return lx.Key, e, sqlparse.Lexed{}
+		}
+	}
+	pc.misses.Add(1)
+	return lx.Key, nil, lx
+}
+
+// find returns the entry cached under key (a normalized key or a raw-text
+// alias) planned under exactly generation gen, or nil.
+func (pc *planCache) find(key string, gen uint64) *cacheEntry {
+	e := pc.shards[shardIndex(key)].Load().entries[key]
 	if e == nil || e.p.gen != gen {
-		pc.misses.Add(1)
 		return nil
 	}
-	pc.hits.Add(1)
 	return e
+}
+
+// alias adds raw as a second key for e, so the next lookup of that exact
+// text skips the lexer. The alias shares e's plan, memo and generation
+// check. At the alias cap aliasing stops rather than resetting the cache;
+// every reset and generation wipe drops aliases along with the plans.
+func (pc *planCache) alias(raw string, e *cacheEntry) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.aliases >= pc.max {
+		return
+	}
+	// A wipe, reset or re-plan since the lookup may have dropped e; an
+	// alias must never outlive the plan it names.
+	if pc.shards[shardIndex(e.key)].Load().entries[e.key] != e {
+		return
+	}
+	i := shardIndex(raw)
+	cur := pc.shards[i].Load()
+	if _, exists := cur.entries[raw]; exists {
+		return // a concurrent lookup promoted it first
+	}
+	pc.shards[i].Store(&cacheMap{entries: withKey(cur.entries, raw, e)})
+	pc.aliases++
+}
+
+// withKey returns a copy of m with key mapped to e.
+func withKey(m map[string]*cacheEntry, key string, e *cacheEntry) map[string]*cacheEntry {
+	next := make(map[string]*cacheEntry, len(m)+1)
+	for k, v := range m {
+		next[k] = v
+	}
+	next[key] = e
+	return next
+}
+
+// clear drops every plan and alias from every shard. Callers hold mu.
+func (pc *planCache) clear() {
+	for i := range pc.shards {
+		pc.shards[i].Store(&cacheMap{entries: map[string]*cacheEntry{}})
+	}
+	pc.aliases = 0
 }
 
 // advance wipes every shard and moves the cache to generation gen. It runs
@@ -609,9 +701,7 @@ func (pc *planCache) advance(gen uint64) {
 	if n := pc.count.Swap(0); n > 0 {
 		pc.evictions.Add(uint64(n))
 		pc.wipes.Add(1)
-		for i := range pc.shards {
-			pc.shards[i].Store(&cacheMap{entries: map[string]*cacheEntry{}})
-		}
+		pc.clear()
 	}
 	pc.gen.Store(gen)
 }
@@ -636,22 +726,15 @@ func (pc *planCache) put(key string, p *PreparedQuery) *cacheEntry {
 		// reset is no longer silent — Resets/Evictions record the cost.
 		pc.evictions.Add(uint64(pc.count.Swap(0)))
 		pc.resets.Add(1)
-		for i := range pc.shards {
-			pc.shards[i].Store(&cacheMap{entries: map[string]*cacheEntry{}})
-		}
+		pc.clear()
 	}
 	i := shardIndex(key)
 	cur := pc.shards[i].Load()
-	next := make(map[string]*cacheEntry, len(cur.entries)+1)
-	for k, v := range cur.entries {
-		next[k] = v
-	}
-	e := &cacheEntry{p: p}
-	if _, exists := next[key]; !exists {
+	e := &cacheEntry{key: key, p: p}
+	if _, exists := cur.entries[key]; !exists {
 		pc.count.Add(1)
 	}
-	next[key] = e
-	pc.shards[i].Store(&cacheMap{entries: next})
+	pc.shards[i].Store(&cacheMap{entries: withKey(cur.entries, key, e)})
 	return e
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"dbest"
 	"dbest/internal/datagen"
+	"dbest/internal/sqlparse"
 )
 
 func TestPrepareAndRun(t *testing.T) {
@@ -271,6 +272,7 @@ func BenchmarkPrepareCached(b *testing.B) {
 	if _, err := eng.Prepare(sql); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Prepare(sql); err != nil {
@@ -293,6 +295,7 @@ func BenchmarkPrepareUncached(b *testing.B) {
 func BenchmarkQueryCached(b *testing.B) {
 	eng := benchSalesEngine(b)
 	sql := "SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600"
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Query(sql); err != nil {
@@ -389,5 +392,237 @@ func TestPlanCacheEvictionCounters(t *testing.T) {
 	}
 	if st.Hits != 1 || st.Misses != 4 {
 		t.Fatalf("hit/miss counters must survive a wipe: %+v", st)
+	}
+}
+
+// TestCachedQueryAllocs gates the hot path's allocations: a cached model
+// query allocates only its Result and that Result's aggregate slice (the
+// clone of the memoized answer), and a cached Prepare allocates nothing —
+// the exact text is found without lexing, whether it is the normalized
+// spelling or a respelling aliased on its second use.
+func TestCachedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	eng, _ := newSalesEngine(t, 20000)
+	for _, sql := range []string{
+		"SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600",
+		"select avg(ss_sales_price) from store_sales where ss_sold_date_sk between 200.0 and 600",
+	} {
+		for i := 0; i < 2; i++ { // the second use promotes a respelling
+			if _, err := eng.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := eng.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("cached Query(%q) = %v allocs/op, want <= 2", sql, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := eng.Prepare(sql); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("cached Prepare(%q) = %v allocs/op, want 0", sql, n)
+		}
+	}
+}
+
+// TestPlanCacheAliasSharesEntry: a respelling of a cached shape is aliased
+// to the shape's entry on its first lookup that hits, so both texts share
+// one plan and one memoized result, and the alias is not counted as a plan.
+func TestPlanCacheAliasSharesEntry(t *testing.T) {
+	eng, _ := newSalesEngine(t, 20000)
+	respelled := "select  avg(ss_sales_price) from store_sales where ss_sold_date_sk between 200.0 and 600 ;"
+	canon := sqlparse.Normalize(respelled) // the key itself: never aliased
+	want, err := eng.Query(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := eng.Query(respelled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Aggregates[0].Value != want.Aggregates[0].Value {
+			t.Fatalf("respelling answered %v, want %v", got.Aggregates[0].Value, want.Aggregates[0].Value)
+		}
+	}
+	if !dbest.SamePlanCacheEntry(eng, canon, respelled) {
+		t.Fatal("respelling is not aliased to the canonical entry")
+	}
+	st := eng.PlanCacheStats()
+	if st.Hits != 3 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 3 hits, 1 miss, 1 entry", st)
+	}
+	if keys := dbest.PlanCacheKeys(eng); keys != 2 {
+		t.Fatalf("cache holds %d keys, want the shape plus one alias", keys)
+	}
+	p1, err := eng.Prepare(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := eng.Prepare(respelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Fatal("the two spellings resolved to different plans")
+	}
+}
+
+// TestPlanCacheOneShotAddsNoKey: a text seen once adds only its normalized
+// shape; aliasing waits for a second sighting, so one-shot SQL (fresh
+// literals on every query) never pays for an alias.
+func TestPlanCacheOneShotAddsNoKey(t *testing.T) {
+	eng, _ := newSalesEngine(t, 20000)
+	for i := 0; i < 5; i++ {
+		sql := fmt.Sprintf("select avg(ss_sales_price) from store_sales where ss_sold_date_sk between %d and 600", 100+i)
+		if _, err := eng.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.PlanCacheStats()
+	if st.Misses != 5 || st.Hits != 0 || st.Entries != 5 {
+		t.Fatalf("stats = %+v, want 5 misses, 5 entries", st)
+	}
+	if keys := dbest.PlanCacheKeys(eng); keys != 5 {
+		t.Fatalf("cache holds %d keys after 5 one-shot texts, want 5 (no aliases)", keys)
+	}
+}
+
+// TestPlanCacheAliasCap: aliases are bounded by the cache capacity. Many
+// respellings of one shape stop aliasing at the cap — they neither grow the
+// maps past it nor trigger a capacity reset — and still hit.
+func TestPlanCacheAliasCap(t *testing.T) {
+	const capacity = 4
+	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 5000, Seed: 1})
+	eng := dbest.New(&dbest.Options{PlanCacheSize: capacity})
+	if err := eng.RegisterTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		// Each respelling differs only in whitespace: one shape.
+		sql := "SELECT COUNT(ss_sales_price) FROM store_sales" + strings.Repeat(" ", i+1) +
+			"WHERE ss_sales_price BETWEEN 0 AND 1000"
+		for j := 0; j < 2; j++ {
+			if _, err := eng.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := eng.PlanCacheStats()
+	if st.Entries != 1 || st.Resets != 0 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 1 entry and no resets", st)
+	}
+	if st.Misses != 1 || st.Hits != 2*n-1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, 2*n-1)
+	}
+	if keys := dbest.PlanCacheKeys(eng); keys != 1+capacity {
+		t.Fatalf("cache holds %d keys, want the shape plus %d aliases", keys, capacity)
+	}
+}
+
+// TestPlanCacheAliasGenerationBump: an aliased raw text follows its entry's
+// generation check, so after a retrain it answers from the new models and
+// never from the old generation's memoized result.
+func TestPlanCacheAliasGenerationBump(t *testing.T) {
+	xs := make([]float64, 2000)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = float64(i % 1000)
+		ys[i] = 2 * xs[i]
+	}
+	tb := dbest.NewTable("gen")
+	tb.AddFloatColumn("x", xs)
+	tb.AddFloatColumn("y", ys)
+	eng := dbest.New(nil)
+	if err := eng.RegisterTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	train := func(scale float64) {
+		t.Helper()
+		if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+			Table: "gen", XCols: []string{"x"}, YCol: "y",
+			SampleSize: 500, Seed: 1, Scale: scale,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func(sql string) float64 {
+		t.Helper()
+		res, err := eng.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Source != "model" {
+			t.Fatalf("source = %q, want model", res.Source)
+		}
+		return res.Aggregates[0].Value
+	}
+	const raw = "select sum(y) from gen where x between 200 and 800"
+	train(1)
+	before := query(raw)
+	if again := query(raw); again != before { // aliased here
+		t.Fatalf("repeat answered %v, want %v", again, before)
+	}
+	if keys := dbest.PlanCacheKeys(eng); keys != 2 {
+		t.Fatalf("cache holds %d keys, want the shape plus its alias", keys)
+	}
+	train(3) // new generation: scale triples every SUM
+	after := query(raw)
+	if ratio := after / before; ratio < 2.5 || ratio > 3.5 {
+		t.Fatalf("after retrain the aliased text answered %v (%.2fx the old %v), want ~3x", after, ratio, before)
+	}
+	if keys := dbest.PlanCacheKeys(eng); keys != 1 {
+		t.Fatalf("cache holds %d keys after the wipe, want only the re-planned shape", keys)
+	}
+	if again := query(raw); again != after {
+		t.Fatalf("re-aliased repeat answered %v, want %v", again, after)
+	}
+}
+
+// TestPlanCacheAliasConcurrent: concurrent readers promoting the same and
+// different respellings of one shape, past the alias cap, still record
+// exactly one hit or miss per lookup and never grow the maps past the cap.
+func TestPlanCacheAliasConcurrent(t *testing.T) {
+	const capacity, readers, spellings, rounds = 4, 4, 12, 50
+	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 5000, Seed: 1})
+	eng := dbest.New(&dbest.Options{PlanCacheSize: capacity})
+	if err := eng.RegisterTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	sqls := make([]string, spellings)
+	for i := range sqls {
+		sqls[i] = "SELECT COUNT(ss_sales_price) FROM store_sales" + strings.Repeat(" ", i+1) +
+			"WHERE ss_sales_price BETWEEN 0 AND 1000"
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := eng.Query(sqls[(r+i)%spellings]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	st := eng.PlanCacheStats()
+	if st.Hits+st.Misses != readers*rounds {
+		t.Fatalf("stats = %+v: %d lookups recorded, want %d", st, st.Hits+st.Misses, readers*rounds)
+	}
+	if st.Entries != 1 || st.Resets != 0 {
+		t.Fatalf("stats = %+v, want 1 entry and no resets", st)
+	}
+	if keys := dbest.PlanCacheKeys(eng); keys > 1+capacity {
+		t.Fatalf("cache holds %d keys, want at most the shape plus %d aliases", keys, capacity)
 	}
 }

@@ -98,11 +98,18 @@ func TestPrepareTrainInterleaveConsistency(t *testing.T) {
 		}
 	}()
 
-	const sql = "SELECT COUNT(*), SUM(y) FROM inter WHERE x BETWEEN 200 AND 800"
+	// Several spellings of one shape, each repeated: every generation
+	// re-plans the shape and re-aliases the respellings, so raw-text
+	// aliases race the generation wipes too.
+	sqls := []string{
+		"SELECT COUNT(*), SUM(y) FROM inter WHERE x BETWEEN 200 AND 800",
+		"select count(*), sum(y) from inter where x between 200 and 800",
+		"SELECT COUNT(*),SUM(y) FROM inter WHERE x BETWEEN 200.0 AND 800;",
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	queries := 0
 	for (trains.Load() < 10 || queries < 50) && time.Now().Before(deadline) {
-		res, err := eng.Query(sql)
+		res, err := eng.Query(sqls[queries%len(sqls)])
 		if err != nil {
 			t.Fatalf("query %d: %v", queries, err)
 		}
