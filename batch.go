@@ -29,10 +29,9 @@ type Span = exec.Span
 // QueryBatch answers many SQL queries in one call. Each distinct SQL text
 // is looked up in the plan cache once, the same way Query looks it up, and
 // each distinct normalized query shape is parsed, planned and executed
-// exactly once — even with the plan cache disabled — with the distinct
-// shapes fanning out over the engine's worker budget; duplicate instances
-// then share that shape's answer, so a batch of N same-shape queries costs
-// one execution, not N.
+// exactly once, with the distinct shapes fanning out over the engine's
+// worker budget; duplicate instances then share that shape's answer, so a
+// batch of N same-shape queries costs one execution, not N.
 // The whole batch binds one engine snapshot: every shape sees the same
 // catalog generation and the same table versions, so a batch is a
 // consistent point-in-time read even while trains and appends land
@@ -43,13 +42,11 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 	out := make([]BatchResult, len(sqls))
 	snap := e.snap.Load()
 	type planned struct {
-		p       *PreparedQuery
-		ent     *cacheEntry
-		err     error
-		res     *Result
-		elapsed time.Duration // this shape's execution (or memo-lookup) time
-		memo    bool          // res is the cache's canonical copy; every instance clones
-		served  bool
+		p      *PreparedQuery
+		ent    *cacheEntry
+		err    error
+		res    *Result
+		served bool // res went to the shape's first instance
 	}
 	shapes := make([]*planned, len(sqls))          // each input's shape
 	byText := make(map[string]*planned, len(sqls)) // distinct texts
@@ -75,50 +72,36 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 		}
 		shapes[i] = pl
 	}
-	// Execute each distinct shape once, in parallel across shapes. Shapes
-	// whose result is already memoized for this generation skip execution
-	// entirely.
+	// Execute each distinct shape once, in parallel across shapes, through
+	// the same memo step as Query: shapes whose result is already memoized
+	// for this generation skip execution entirely.
 	parallel.ForEach(len(order), e.workers, func(i int) {
 		pl := order[i]
 		if pl.err != nil {
 			return
 		}
-		// Each shape stamps its own execution time: batch items must report
-		// what their shape cost, not share one whole-batch elapsed (or, as
-		// before this existed, report zero).
+		// Each shape stamps its own execution time: batch items report what
+		// their shape cost, not one whole-batch elapsed.
 		t0 := time.Now()
-		defer func() { pl.elapsed = time.Since(t0) }()
-		if pl.ent != nil {
-			if r := pl.ent.res.Load(); r != nil {
-				pl.res, pl.memo = r, true
-				return
-			}
-		}
-		pl.res, pl.err = pl.p.runWith(snap)
-		if pl.err == nil && pl.ent != nil && pl.p.memoizable() {
-			pl.ent.res.CompareAndSwap(nil, pl.res)
-			pl.memo = true
+		if pl.res, pl.err = pl.p.serve(pl.ent, snap); pl.err == nil {
+			pl.res.Elapsed = time.Since(t0)
 		}
 	})
-	// Fan the shared answers out to every instance of each shape. Instances
-	// get deep copies so callers may mutate one result without corrupting
-	// another (or the cache's memoized copy); only a non-memoized shape may
-	// hand its first instance the original.
+	// Fan the shared answers out to every instance of each shape. serve
+	// hands back a result the batch owns, so the first instance takes it and
+	// the rest get deep copies: callers may mutate one result without
+	// corrupting another.
 	for i := range sqls {
 		pl := shapes[i]
-		if pl.err != nil {
+		switch {
+		case pl.err != nil:
 			out[i].Err = pl.err
-			continue
-		}
-		if !pl.served && !pl.memo {
+		case !pl.served:
 			out[i].Result = pl.res
 			pl.served = true
-		} else {
+		default:
 			out[i].Result = cloneResult(pl.res)
 		}
-		// Stamp after cloning: the memoized canonical copy must stay
-		// untouched, and a later batch hitting it re-stamps its own time.
-		out[i].Result.Elapsed = pl.elapsed
 	}
 	return out
 }
@@ -144,32 +127,40 @@ func cloneResult(r *Result) *Result {
 // RunBatch executes the prepared query once per span, substituting each
 // span for the query's single range predicate — the parameter-varied form
 // of batched execution: parse and plan once, run for many ranges in
-// parallel. The query must have exactly one range predicate. Results are
-// returned in span order with per-execution error isolation.
+// parallel. The query must have exactly one range predicate. Each span runs
+// through the same execution step as Query, so a WITHIN budget is routed
+// per span. Results are returned in span order with per-execution error
+// isolation.
 func (p *PreparedQuery) RunBatch(spans []Span) ([]BatchResult, error) {
 	if len(p.query.Where) != 1 {
 		return nil, fmt.Errorf("dbest: RunBatch needs a query with exactly one range predicate, got %d", len(p.query.Where))
 	}
 	// Materialize the exact-path source (base table or equi-join) once for
 	// the whole batch instead of once per span, against one engine snapshot.
-	baseEnv := exec.Env{Workers: p.eng.workers, Tables: p.eng.snap.Load(), Shards: &p.eng.shardCtrs}
-	src, err := p.plan.OpenSource(&baseEnv)
+	// A WITHIN query opens its exact fallback's source, since any span may
+	// route there.
+	base := p.env(p.eng.snap.Load())
+	srcPlan := p.plan
+	if p.hasTol {
+		srcPlan = p.exactPlan
+	}
+	src, err := srcPlan.OpenSource(base)
 	if err != nil {
 		return nil, err
 	}
-	baseEnv.Src = src
+	base.Src = src
 	out := make([]BatchResult, len(spans))
 	parallel.ForEach(len(spans), p.eng.workers, func(i int) {
-		span := spans[i]
-		env := baseEnv
-		env.Span = &span
+		env := *base
+		env.Span = &spans[i]
 		t0 := time.Now()
-		er, err := p.plan.Run(&env)
+		res, err := p.runWith(&env)
 		if err != nil {
 			out[i].Err = err
 			return
 		}
-		out[i].Result = &Result{Aggregates: er.Aggregates, Source: er.Source, Elapsed: time.Since(t0)}
+		res.Elapsed = time.Since(t0)
+		out[i].Result = res
 	})
 	return out, nil
 }

@@ -71,9 +71,6 @@ type Options struct {
 	// Workers bounds parallel per-group model evaluation at query time.
 	// 0 = GOMAXPROCS; 1 = fully sequential (the paper's single-thread mode).
 	Workers int
-	// PlanCacheSize bounds the number of prepared queries kept by the plan
-	// cache. 0 uses the default (1024); negative disables plan caching.
-	PlanCacheSize int
 }
 
 // Engine is the DBEst AQP engine: a model catalog over registered tables
@@ -146,19 +143,14 @@ func (s *engineSnap) Table(name string) *table.Table { return s.tables[name] }
 
 // New creates an engine. opts may be nil.
 func New(opts *Options) *Engine {
-	w, cacheSize := 0, defaultPlanCacheSize
+	w := 0
 	if opts != nil {
 		w = opts.Workers
-		if opts.PlanCacheSize > 0 {
-			cacheSize = opts.PlanCacheSize
-		} else if opts.PlanCacheSize < 0 {
-			cacheSize = 0
-		}
 	}
 	e := &Engine{
 		catalog: catalog.New(),
 		workers: w,
-		plans:   newPlanCache(cacheSize),
+		plans:   newPlanCache(defaultPlanCacheSize),
 		ledger:  ingest.NewLedger(),
 	}
 	e.snap.Store(&engineSnap{cat: e.catalog.Snapshot(), tables: make(map[string]*table.Table)})
@@ -430,48 +422,12 @@ type Result struct {
 // atomic loads and a copy of the memoized result.
 func (e *Engine) Query(sql string) (*Result, error) {
 	t0 := time.Now()
-	var (
-		res *Result
-		err error
-	)
-	if e.plans.enabled() {
-		res, err = e.serveCached(sql)
-	} else {
-		res, err = e.serveUncached(sql)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(t0)
-	return res, nil
-}
-
-// serveUncached answers sql with the plan cache disabled: parse, plan and
-// run against one snapshot.
-func (e *Engine) serveUncached(sql string) (*Result, error) {
 	snap := e.snap.Load()
-	q, err := sqlparse.Parse(sql)
+	p, ent, err := e.prepareSnap(sql, snap)
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.planSnap(q, snap)
-	if err != nil {
-		return nil, err
-	}
-	return p.runWith(snap)
-}
-
-// Run plans and answers a pre-parsed query, bypassing the plan cache. It is
-// a thin shim over the physical execution layer: plan once, run once, both
-// against one snapshot.
-func (e *Engine) Run(q *sqlparse.Query) (*Result, error) {
-	t0 := time.Now()
-	snap := e.snap.Load()
-	p, err := e.planSnap(q, snap)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.runWith(snap)
+	res, err := p.serve(ent, snap)
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,14 @@
 package dbest
 
+// NewWithPlanCache returns an engine whose plan cache holds at most
+// capacity plans (and capacity raw-text aliases), so capacity tests can
+// overflow it with a handful of queries.
+func NewWithPlanCache(capacity int) *Engine {
+	e := New(nil)
+	e.plans = newPlanCache(capacity)
+	return e
+}
+
 // PlanCacheKeys reports how many keys the plan cache holds across its
 // shards: normalized shapes plus raw-text aliases.
 func PlanCacheKeys(e *Engine) int {

@@ -221,10 +221,6 @@ func (g *EvalGrid) MomentX(power int, lb, ub float64) float64 {
 	return g.momentXAt(power, ub) - g.momentXAt(power, lb)
 }
 
-// Constituents returns how many per-constituent regression tables the grid
-// carries.
-func (g *EvalGrid) Constituents() int { return len(g.CumDR) }
-
 // momentDRAt evaluates the ∫D·R_c^power prefix at x: the knot prefix of
 // the containing panel plus the panel's linear-R contribution, expressed
 // through the shared CDF and x-moment interpolants. Using the same cdfAt

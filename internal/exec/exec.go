@@ -136,9 +136,6 @@ func NewPlan(path, reason string, root *Project) *Plan {
 	return &Plan{Path: path, Reason: reason, root: root}
 }
 
-// Root returns the plan's root operator.
-func (p *Plan) Root() Node { return p.root }
-
 // Run executes the plan once. env may be nil for model-only plans.
 func (p *Plan) Run(env *Env) (*Result, error) {
 	if env == nil {

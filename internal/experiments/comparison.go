@@ -185,24 +185,6 @@ func errorFigure(id, title string, systems []sysBatch) *FigureResult {
 	return fr
 }
 
-// timeFigure renders per-AF mean response time (+OVERALL) per system.
-func timeFigure(id, title string, systems []sysBatch) *FigureResult {
-	fr := &FigureResult{
-		ID: id, Title: title,
-		XLabel: "aggregate function", YLabel: "response time (s)",
-		Labels: afLabels(csaOrder, true),
-	}
-	for _, s := range systems {
-		vals := make([]float64, 0, len(csaOrder)+1)
-		for _, af := range csaOrder {
-			vals = append(vals, s.b.meanTime(af))
-		}
-		vals = append(vals, s.b.overallTime())
-		fr.AddSeries(s.name, vals...)
-	}
-	return fr
-}
-
 // lowSelectivity matches §4.3: "stress-testing with low-selectivity query
 // ranges (0.1%, 0.5% to 1%)".
 var lowSelectivity = []float64{0.001, 0.005, 0.01}

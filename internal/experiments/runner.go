@@ -133,15 +133,6 @@ func (b *batch) overallTime() float64 {
 	return total.Seconds() / float64(n)
 }
 
-// totalTime sums all query time (throughput experiments).
-func (b *batch) totalTime() time.Duration {
-	var total time.Duration
-	for _, d := range b.times {
-		total += d
-	}
-	return total
-}
-
 // answerer abstracts "a system that answers aggregate requests" so one
 // evaluation loop serves DBEst models, baselines and exact engines.
 type answerer func(q workload.Query) (float64, time.Duration, error)

@@ -83,18 +83,6 @@ func (c *Column) Str(i int) string {
 	return ""
 }
 
-// AppendFloat appends a float value, coercing to the column type.
-func (c *Column) AppendFloat(v float64) {
-	switch c.Type {
-	case Float64:
-		c.Floats = append(c.Floats, v)
-	case Int64:
-		c.Ints = append(c.Ints, int64(v))
-	case String:
-		c.Strings = append(c.Strings, fmt.Sprintf("%g", v))
-	}
-}
-
 // Partition is a table's range-partition metadata: the column whose domain
 // was split and the K+1 cut points of the K contiguous range shards. It is
 // attached by the engine when a sharded model ensemble is trained over the

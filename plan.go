@@ -69,7 +69,7 @@ func (p *PreparedQuery) Render() string { return p.plan.Render() }
 // view).
 func (p *PreparedQuery) Run() (*Result, error) {
 	t0 := time.Now()
-	res, err := p.runWith(p.eng.snap.Load())
+	res, err := p.runWith(p.env(p.eng.snap.Load()))
 	if err != nil {
 		return nil, err
 	}
@@ -77,11 +77,18 @@ func (p *PreparedQuery) Run() (*Result, error) {
 	return res, nil
 }
 
-// runWith executes the operator tree once against the given snapshot;
-// Elapsed is left for the caller to stamp.
-func (p *PreparedQuery) runWith(snap *engineSnap) (*Result, error) {
+// env is the execution environment of one run against snap.
+func (p *PreparedQuery) env(snap *engineSnap) *exec.Env {
+	return &exec.Env{Workers: p.eng.workers, Tables: snap, Shards: &p.eng.shardCtrs}
+}
+
+// runWith executes the prepared query once in env — the one execution step
+// of Query, QueryBatch, PreparedQuery.Run and RunBatch, so WITHIN routing
+// (with its counters and calibration feedback) and sketch sync apply to
+// every read. Elapsed is left for the caller to stamp.
+func (p *PreparedQuery) runWith(env *exec.Env) (*Result, error) {
 	if p.hasTol {
-		return p.runTolerance(snap)
+		return p.runTolerance(env)
 	}
 	if p.plan.Path == PathSketch {
 		// Flush pending append credits into the sketches so the estimate
@@ -89,7 +96,7 @@ func (p *PreparedQuery) runWith(snap *engineSnap) (*Result, error) {
 		p.eng.ledger.Sync()
 		p.eng.sketchHits.Add(1)
 	}
-	er, err := p.plan.Run(&exec.Env{Workers: p.eng.workers, Tables: snap, Shards: &p.eng.shardCtrs})
+	er, err := p.plan.Run(env)
 	if err != nil {
 		return nil, err
 	}
@@ -100,22 +107,14 @@ func (p *PreparedQuery) runWith(snap *engineSnap) (*Result, error) {
 // repeated query shape skips both the parser and the catalog lookups. The
 // returned PreparedQuery may be shared with concurrent callers.
 func (e *Engine) Prepare(sql string) (*PreparedQuery, error) {
-	snap := e.snap.Load()
-	if !e.plans.enabled() {
-		q, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		return e.planSnap(q, snap)
-	}
-	p, _, err := e.prepareSnap(sql, snap)
+	p, _, err := e.prepareSnap(sql, e.snap.Load())
 	return p, err
 }
 
 // prepareSnap resolves sql against the plan cache under the given snapshot,
 // planning (and caching) on a miss. It returns the prepared query plus its
-// cache entry (nil when the plan was not cached, e.g. it raced a generation
-// bump).
+// cache entry (nil when the plan was not cached because it raced a
+// generation bump).
 func (e *Engine) prepareSnap(sql string, snap *engineSnap) (*PreparedQuery, *cacheEntry, error) {
 	key, ent, lx := e.plans.lookup(sql, snap.cat.Generation())
 	if ent != nil {
@@ -138,29 +137,23 @@ func (e *Engine) planMiss(key string, lx sqlparse.Lexed, snap *engineSnap) (*Pre
 	return p, e.plans.put(key, p), nil
 }
 
-// serveCached answers sql through the plan and result caches: capture a
-// snapshot, resolve the cached plan, and — on the model paths, whose
-// answers are deterministic for a fixed catalog generation — serve the
-// memoized result without executing anything. The hot path takes no mutex
-// and does not lex: snapshot load, a lock-free lookup of the exact text,
-// atomic result load. The caller stamps Elapsed.
-func (e *Engine) serveCached(sql string) (*Result, error) {
-	snap := e.snap.Load()
-	p, ent, err := e.prepareSnap(sql, snap)
-	if err != nil {
-		return nil, err
-	}
+// serve answers p against snap through its cache entry ent (nil when the
+// plan was not cached) and returns a result the caller owns. On the model
+// paths, whose answers are deterministic for a fixed catalog generation, a
+// memoized result is served as a copy without executing anything;
+// otherwise p runs once and, if memoizable, its result becomes the entry's
+// memo. The memo hit takes no mutex.
+func (p *PreparedQuery) serve(ent *cacheEntry, snap *engineSnap) (*Result, error) {
 	if ent != nil {
 		if r := ent.res.Load(); r != nil {
 			return cloneResult(r), nil
 		}
 	}
-	res, err := p.runWith(snap)
+	res, err := p.runWith(p.env(snap))
 	if err != nil {
 		return nil, err
 	}
-	if ent != nil && p.memoizable() {
-		ent.res.CompareAndSwap(nil, res)
+	if ent != nil && p.memoizable() && ent.res.CompareAndSwap(nil, res) {
 		return cloneResult(res), nil
 	}
 	return res, nil
@@ -558,7 +551,7 @@ type cacheMap struct {
 // plans pin) without the mutation path knowing about the cache. All
 // counters are atomics, so stats() never touches the writer mutex either.
 type planCache struct {
-	max    int // <= 0 disables caching
+	max    int // plans kept before a capacity reset; also the alias cap
 	gen    atomic.Uint64
 	count  atomic.Int64 // entries across all shards
 	hits   atomic.Uint64
@@ -585,8 +578,6 @@ func newPlanCache(max int) *planCache {
 	return pc
 }
 
-func (pc *planCache) enabled() bool { return pc.max > 0 }
-
 // shardIndex picks the cache shard for a key (FNV-1a).
 func shardIndex(key string) uint32 {
 	h := uint32(2166136261)
@@ -603,18 +594,13 @@ func shardIndex(key string) uint32 {
 // any lexing, so a repeated text costs one map read. Only a raw miss lexes;
 // if its normalized key then hits, the raw text is aliased to that entry
 // (promotion on the second sighting), so one-shot SQL never adds a key.
-// Each call records exactly one hit or one miss. With caching disabled it
-// only lexes.
+// Each call records exactly one hit or one miss.
 //
 // The hit path takes no mutex. A caller observing a newer generation than
 // the cache wipes it first (the one write on the read path, taken once per
 // catalog mutation); a caller with an older generation than a cached entry
 // simply misses.
 func (pc *planCache) lookup(sql string, gen uint64) (string, *cacheEntry, sqlparse.Lexed) {
-	if !pc.enabled() {
-		lx := sqlparse.Lex(sql)
-		return lx.Key, nil, lx
-	}
 	// Only a newer generation wipes: a reader that loaded an older
 	// generation before a concurrent Train committed must not destroy the
 	// plans already cached for the new one (the per-entry check in find
@@ -707,11 +693,8 @@ func (pc *planCache) advance(gen uint64) {
 }
 
 // put caches a freshly planned query and returns its entry (nil when the
-// plan was discarded as stale or caching is disabled).
+// plan was discarded as stale).
 func (pc *planCache) put(key string, p *PreparedQuery) *cacheEntry {
-	if !pc.enabled() {
-		return nil
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if p.gen < pc.gen.Load() {

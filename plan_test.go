@@ -73,23 +73,6 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 5000, Seed: 1})
-	eng := dbest.New(&dbest.Options{PlanCacheSize: -1})
-	if err := eng.RegisterTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	sql := "SELECT COUNT(ss_sales_price) FROM store_sales WHERE ss_sales_price BETWEEN 0 AND 1000"
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := eng.PlanCacheStats(); st.Hits != 0 || st.Entries != 0 {
-		t.Fatalf("disabled cache stats = %+v, want no hits and no entries", st)
-	}
-}
-
 func TestPlanCacheInvalidatedByTrain(t *testing.T) {
 	eng, _ := newSalesEngine(t, 20000)
 	// ss_quantity has no model yet: the plan falls to the exact path and is
@@ -281,14 +264,22 @@ func BenchmarkPrepareCached(b *testing.B) {
 	}
 }
 
-func BenchmarkPrepareUncached(b *testing.B) {
-	eng := benchSalesEngine(b, dbest.Options{PlanCacheSize: -1})
-	sql := "SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600"
+// BenchmarkPrepareColdSpan measures the plan-cache miss path: every
+// Prepare sees a span literal not in the cache, so it pays one lex, a parse,
+// planning and a put — and every 1024 puts a capacity reset.
+func BenchmarkPrepareColdSpan(b *testing.B) {
+	eng := benchSalesEngine(b)
+	sqls := coldSpanSQL()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Prepare(sql); err != nil {
+		if _, err := eng.Prepare(sqls[i%len(sqls)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if st := eng.PlanCacheStats(); st.Hits != 0 {
+		b.Fatalf("cold spans hit the plan cache: %+v", st)
 	}
 }
 
@@ -304,25 +295,40 @@ func BenchmarkQueryCached(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryUncached(b *testing.B) {
-	eng := benchSalesEngine(b, dbest.Options{PlanCacheSize: -1})
-	sql := "SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600"
+// BenchmarkQueryColdSpan measures Query on the miss path: lex, parse,
+// plan, put, then one model execution memoized on the fresh entry.
+func BenchmarkQueryColdSpan(b *testing.B) {
+	eng := benchSalesEngine(b)
+	sqls := coldSpanSQL()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(sql); err != nil {
+		if _, err := eng.Query(sqls[i%len(sqls)]); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if st := eng.PlanCacheStats(); st.Hits != 0 {
+		b.Fatalf("cold spans hit the plan cache: %+v", st)
+	}
 }
 
-func benchSalesEngine(b *testing.B, opts ...dbest.Options) *dbest.Engine {
+// coldSpanSQL builds one query shape with 4096 distinct BETWEEN literals —
+// four times the plan cache's capacity, so by the time a text comes round
+// again a capacity reset has dropped it and every lookup misses.
+func coldSpanSQL() []string {
+	sqls := make([]string, 4096)
+	for i := range sqls {
+		lb := 200 + float64(i)/16
+		sqls[i] = fmt.Sprintf("SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN %v AND %v", lb, lb+400)
+	}
+	return sqls
+}
+
+func benchSalesEngine(b *testing.B) *dbest.Engine {
 	b.Helper()
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 20000, Seed: 1})
-	var o *dbest.Options
-	if len(opts) > 0 {
-		o = &opts[0]
-	}
-	eng := dbest.New(o)
+	eng := dbest.New(nil)
 	if err := eng.RegisterTable(tb); err != nil {
 		b.Fatal(err)
 	}
@@ -338,7 +344,7 @@ func benchSalesEngine(b *testing.B, opts ...dbest.Options) *dbest.Engine {
 // TestPlanCacheEvictionCounters: capacity resets and generation wipes are
 // counted, and hit/miss counters survive both kinds of wholesale drop.
 func TestPlanCacheEvictionCounters(t *testing.T) {
-	eng := dbest.New(&dbest.Options{PlanCacheSize: 2})
+	eng := dbest.NewWithPlanCache(2)
 	s1 := "SELECT COUNT(a) FROM t WHERE a BETWEEN 1 AND 2"
 	s2 := "SELECT COUNT(a) FROM t WHERE a BETWEEN 3 AND 4"
 	s3 := "SELECT COUNT(a) FROM t WHERE a BETWEEN 5 AND 6"
@@ -500,7 +506,7 @@ func TestPlanCacheOneShotAddsNoKey(t *testing.T) {
 func TestPlanCacheAliasCap(t *testing.T) {
 	const capacity = 4
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 5000, Seed: 1})
-	eng := dbest.New(&dbest.Options{PlanCacheSize: capacity})
+	eng := dbest.NewWithPlanCache(capacity)
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +598,7 @@ func TestPlanCacheAliasGenerationBump(t *testing.T) {
 func TestPlanCacheAliasConcurrent(t *testing.T) {
 	const capacity, readers, spellings, rounds = 4, 4, 12, 50
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 5000, Seed: 1})
-	eng := dbest.New(&dbest.Options{PlanCacheSize: capacity})
+	eng := dbest.NewWithPlanCache(capacity)
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}

@@ -141,8 +141,7 @@ func (e *Engine) RouterStats() RouterStats {
 // if every aggregate's calibrated prediction fits the budget, else fall
 // through to the eagerly-planned exact fallback — feeding the model-vs-exact
 // comparison back into the calibration ring on the way.
-func (p *PreparedQuery) runTolerance(snap *engineSnap) (*Result, error) {
-	env := &exec.Env{Workers: p.eng.workers, Tables: snap, Shards: &p.eng.shardCtrs}
+func (p *PreparedQuery) runTolerance(env *exec.Env) (*Result, error) {
 	mres, merr := p.plan.Run(env)
 	if merr == nil && p.withinBudget(mres) {
 		p.eng.router.modelHits.Add(1)

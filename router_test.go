@@ -227,3 +227,64 @@ func TestWithinParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchHonoursWithin: RunBatch routes a WITHIN budget per span the
+// same way Query does. A budget below the model's predicted error sends
+// every span to the exact scan, each answer equals Query's on the same
+// literals, and each span counts one exact fallback.
+func TestRunBatchHonoursWithin(t *testing.T) {
+	eng, _ := newSalesEngine(t, 50000)
+	const (
+		base = "SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN %g AND %g"
+		tol  = 1e-6
+	)
+	within := base + " WITHIN %g%%"
+	spans := []dbest.Span{{Lb: 100, Ub: 140}, {Lb: 300, Ub: 420}, {Lb: 900, Ub: 1300}}
+	for _, sp := range spans {
+		probe, err := eng.Query(fmt.Sprintf(base, sp.Lb, sp.Ub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred := probe.Aggregates[0].PredRelErr; pred <= tol {
+			t.Fatalf("span %v: PredRelErr = %v, want above the %v budget", sp, pred, tol)
+		}
+	}
+	p, err := eng.Prepare(fmt.Sprintf(within, spans[0].Lb, spans[0].Ub, tol*100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Path() != dbest.PathModel {
+		t.Fatalf("path = %q, want %q", p.Path(), dbest.PathModel)
+	}
+	before := eng.RouterStats()
+	got, err := p.RunBatch(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.RouterStats()
+	if n := after.ExactFallbacks - before.ExactFallbacks; n != uint64(len(spans)) {
+		t.Fatalf("RunBatch moved ExactFallbacks by %d, want %d", n, len(spans))
+	}
+	if after.ModelHits != before.ModelHits {
+		t.Fatalf("RunBatch counted %d model hits, want 0", after.ModelHits-before.ModelHits)
+	}
+	for i, sp := range spans {
+		br := got[i]
+		if br.Err != nil {
+			t.Fatalf("span %v: %v", sp, br.Err)
+		}
+		if br.Result.Source != "exact" {
+			t.Fatalf("span %v: source = %q, want exact (budget below predicted error)", sp, br.Result.Source)
+		}
+		want, err := eng.Query(fmt.Sprintf(within, sp.Lb, sp.Ub, tol*100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Source != "exact" {
+			t.Fatalf("span %v: Query source = %q, want exact", sp, want.Source)
+		}
+		if g, w := br.Result.Aggregates[0].Value, want.Aggregates[0].Value; g != w {
+			t.Fatalf("span %v: RunBatch answered %v, Query %v", sp, g, w)
+		}
+	}
+}
